@@ -13,8 +13,9 @@ Byte accounting and victim selection are delegated to the shared
 :class:`~repro.memory.arbiter.MemoryArbiter`: the driver tier is the
 ``CP`` region, spilled binaries live in the ``DISK`` region, and the
 spill-vs-drop break-even (§3.3) is the arbiter's spill model.  The
-cache keeps only the physics — payload movement, simulated disk I/O
-time, and lineage bookkeeping.
+``CP`` candidates come from a :class:`~repro.core.victims.VictimIndex`
+rather than a scan of every entry.  The cache keeps only the physics —
+payload movement, simulated disk I/O time, and lineage bookkeeping.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from repro.common.stats import (
 )
 from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP, CacheEntry, EntryStatus
 from repro.core.policies import EvictionPolicy, make_policy
+from repro.core.victims import VictimIndex
 from repro.lineage.item import LineageItem
 from repro.memory import REGION_CP, REGION_DISK, MemoryArbiter
 from repro.obs.events import (
@@ -94,6 +96,9 @@ class LineageCache:
         )
         arbiter.register_residency(REGION_CP, self.has_host_copy_for)
         self._entries: dict[LineageItem, CacheEntry] = {}
+        self._created = 0
+        #: CP victim selection (``repro.core.victims``).
+        self._victims = VictimIndex(self._entries, self.policy)
         self._logical_time = 0
         #: GPU pointer id -> entry, for invalidation callbacks.
         self._gpu_index: dict[int, CacheEntry] = {}
@@ -218,6 +223,8 @@ class LineageCache:
                 request = scope.request
                 if request is not None:
                     entry.request = request.request_id
+            self._created += 1
+            entry.seq = self._created
             entries[key] = entry
         entry.seen_count += 1
         entry.last_access = now
@@ -242,7 +249,7 @@ class LineageCache:
             entry.cp_accounted = size
             if entry.tenant is not None:
                 self.arbiter.charge_tenant(REGION_CP, entry.tenant, size)
-        entry.put_payload(backend, payload, size, compute_cost)
+        self.attach_payload(entry, backend, payload, size, compute_cost)
         if backend == BACKEND_GPU:
             ptr = getattr(payload, "ptr", None)
             if ptr is not None:
@@ -253,6 +260,17 @@ class LineageCache:
             self.tracer.instant(EV_CACHE_PUT, backend=backend, size=size,
                                 opcode=key.opcode, key=key.id)
         return entry
+
+    def attach_payload(self, entry: CacheEntry, backend: str,
+                       payload: object, size: int, cost: float) -> None:
+        """Attach a payload to ``entry`` (also outside :meth:`put`:
+        exchange copies, persisted RDDs), keeping the victim index exact
+        when the entry gains a CP payload or grows while holding one."""
+        size_before = entry.size
+        entry.put_payload(backend, payload, size, cost)
+        if BACKEND_CP in entry.payloads \
+                and (backend == BACKEND_CP or entry.size > size_before):
+            self._victims.add(entry)
 
     def make_space(self, backend: str, size: int) -> bool:
         """MAKE_SPACE: evict until ``size`` bytes fit on ``backend``."""
@@ -271,20 +289,10 @@ class LineageCache:
         )
 
     def _cp_candidates(self) -> list[CacheEntry]:
-        scope = self._scope
-        if scope is None:
-            return [
-                e for e in self._entries.values()
-                if BACKEND_CP in e.payloads and e.is_cached
-            ]
-        # fair-share victim filter: pinned entries are never victims,
-        # and another tenant's entries are protected while that tenant
-        # is within its quota
-        return [
-            e for e in self._entries.values()
-            if BACKEND_CP in e.payloads and e.is_cached
-            and not e.pinned and scope.evictable(e)
-        ]
+        # fair-share victim filter under a scope: pinned entries are
+        # never victims, and another tenant's entries are protected
+        # while that tenant is within its quota
+        return self._victims.candidates(self._logical_time, self._scope)
 
     def _release_cp(self, entry: CacheEntry) -> None:
         """Release the entry's CP charge (+ tenant ledger and pin)."""
@@ -313,12 +321,8 @@ class LineageCache:
         if headroom is None or size <= headroom:
             return True
         while True:
-            own = [
-                e for e in self._entries.values()
-                if e.tenant == tenant and e is not entry
-                and BACKEND_CP in e.payloads and e.is_cached
-                and not e.pinned
-            ]
+            own = self._victims.candidates(self._logical_time,
+                                           tenant=tenant, exclude=entry)
             victim = self.arbiter.select_victim(
                 REGION_CP, own, now=self._logical_time
             )
@@ -335,11 +339,6 @@ class LineageCache:
         if scope is not None:
             scope.substrate.note_tenant_event(tenant, "quota_refusals")
         return False
-
-    def _cp_victim(self) -> Optional[CacheEntry]:
-        return self.arbiter.select_victim(
-            REGION_CP, self._cp_candidates(), now=self._logical_time
-        )
 
     def evict_cp(self, entry: CacheEntry) -> None:
         """Evict the driver-local payload of ``entry``.
@@ -379,11 +378,6 @@ class LineageCache:
                                 size=entry.size, opcode=entry.key.opcode,
                                 key=entry.key.id)
 
-    def _should_spill(self, entry: CacheEntry) -> bool:
-        """Spill only when recomputation costs more than a disk round trip."""
-        return self.arbiter.should_spill(REGION_CP, entry.size,
-                                         entry.compute_cost)
-
     def _spill_faulted(self, entry: CacheEntry) -> bool:
         """Injected spill-I/O error: the write fails, the payload is lost.
 
@@ -419,6 +413,7 @@ class LineageCache:
         entry.payloads[BACKEND_CP] = payload
         entry.payloads.pop(BACKEND_DISK, None)
         entry.status = EntryStatus.CACHED
+        self._victims.add(entry)
         self.arbiter.release(REGION_DISK, entry.size)
         self.arbiter.commit(REGION_CP, entry.size)
         entry.cp_accounted = entry.size
@@ -536,6 +531,7 @@ class LineageCache:
 
     def clear(self) -> None:
         self._entries.clear()
+        self._victims.clear()
         self._gpu_index.clear()
         self._cp_region.reset()
 

@@ -37,7 +37,7 @@ class CacheEntry:
         "key", "status", "payloads", "size", "compute_cost", "height",
         "hits", "misses", "jobs", "last_access", "seen_count",
         "is_function", "rdd_materialized", "outputs", "cp_accounted",
-        "owner", "tenant", "request", "pinned",
+        "owner", "tenant", "request", "pinned", "seq",
     )
 
     def __init__(self, key: LineageItem, compute_cost: float = 0.0,
@@ -77,6 +77,9 @@ class CacheEntry:
         self.request: Optional[str] = None
         #: tenant-pinned entries are never offered as eviction victims.
         self.pinned = False
+        #: creation sequence number within the owning cache: the order
+        #: that breaks eviction-score ties (``repro.core.victims``).
+        self.seq = 0
 
     # -- payload management ----------------------------------------------------
 

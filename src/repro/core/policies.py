@@ -21,6 +21,12 @@ Every policy exposes two scoring views over the same ordering idea:
 All four memory managers select victims through these policies via the
 :class:`~repro.memory.arbiter.MemoryArbiter`; no eviction-scoring math
 lives anywhere else.
+
+``indexable`` declares that a policy's :meth:`score` ignores ``now`` and
+never decreases while an entry holds its payload, unless the entry's
+``size`` grows.  The driver cache keeps such scores in a lazy heap
+(:mod:`repro.core.victims`); the others are rescored on every victim
+selection.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ class EvictionPolicy(Protocol):
     """Score function: LOWER score = evicted earlier."""
 
     name: str
+    indexable: bool
 
     def score(self, entry: CacheEntry, now: float) -> float:
         """Eviction priority of ``entry`` at logical time ``now``."""
@@ -49,6 +56,7 @@ class CostSizePolicy:
     """Paper Eq. 1: preserve high compute-cost-to-memory objects."""
 
     name = "cost_size"
+    indexable = True
 
     def score(self, entry: CacheEntry, now: float) -> float:
         refs = entry.hits + entry.misses + entry.jobs
@@ -66,6 +74,7 @@ class LruPolicy:
     """Classic least-recently-used."""
 
     name = "lru"
+    indexable = True
 
     def score(self, entry: CacheEntry, now: float) -> float:
         return entry.last_access
@@ -78,6 +87,7 @@ class LrcPolicy:
     """Least reference count (DAG-aware Spark baseline [127])."""
 
     name = "lrc"
+    indexable = True
 
     def score(self, entry: CacheEntry, now: float) -> float:
         return float(entry.hits + entry.jobs)
@@ -91,6 +101,8 @@ class MrdPolicy:
     longest logical distance, weighted by reference count."""
 
     name = "mrd"
+    #: the reference distance depends on ``now``: no stored order holds
+    indexable = False
 
     def score(self, entry: CacheEntry, now: float) -> float:
         distance = max(now - entry.last_access, 0.0)

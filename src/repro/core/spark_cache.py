@@ -95,7 +95,8 @@ class SparkCacheManager:
         ):
             return False
         dm.rdd.persist(self.storage_level)
-        entry.put_payload(BACKEND_SP, dm, size, entry.compute_cost)
+        self.cache.attach_payload(entry, BACKEND_SP, dm, size,
+                                  entry.compute_cost)
         entry.rdd_materialized = False
         self.arbiter.commit(REGION_SPARK_CACHE, size)
         self.stats.inc(SPARK_RDD_PERSISTED)

@@ -38,9 +38,13 @@ def reset_ambient_state() -> None:
     """Uninstall every ambient (module-global) collector/plan.
 
     Keeps a crashed or sloppy test from leaking its tracer, analysis
-    collector, or fault plan into the next test.
+    collector, fault plan, or eviction-policy overrides into the next
+    test.
     """
-    from repro.common.config import clear_fusion_override
+    from repro.common.config import (
+        clear_fusion_override,
+        clear_policy_overrides,
+    )
     from repro.core.substrate import clear_ambient_substrate
     from repro.faults.plan import uninstall_plan
     from repro.obs.explain import uninstall_explain
@@ -52,6 +56,7 @@ def reset_ambient_state() -> None:
     uninstall_explain()
     uninstall_plan()
     clear_fusion_override()
+    clear_policy_overrides()
     # shared-substrate server state: uninstall the ambient substrate and
     # drop its tenant registry so one test's server cannot serve another
     clear_ambient_substrate()

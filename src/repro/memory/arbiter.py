@@ -7,10 +7,14 @@ its reservations and victim selection through here:
   region, evicting policy-selected victims through a caller-supplied
   callback until the request fits; :meth:`commit`/:meth:`cancel`/
   :meth:`release` drive the byte ledgers.
-* **Victim selection** — :meth:`select_victim` is the only place a
-  victim is ever chosen; it applies the region's policy from the
-  ``core/policies.py`` registry (or a caller-supplied score for
-  context-dependent normalisation, e.g. the GPU's Eq. 2 max-cost term).
+* **Victim selection** — :meth:`select_victim` picks the minimum-score
+  candidate under the region's policy from the ``core/policies.py``
+  registry (or a caller-supplied score for context-dependent
+  normalisation, e.g. the GPU's Eq. 2 max-cost term).  The driver cache
+  narrows its candidates first: its victim index
+  (``core/victims.py``) offers only the policy minimum, so the CP
+  region's ``select_victim`` sees one candidate (all members, for
+  MRD).
 * **Spill-vs-drop** — :meth:`should_spill` owns the recompute-cost vs
   disk-round-trip break-even (§3.3) and the disk-region budget check.
 * **Admission** — :meth:`admit` implements delayed caching (§5.2) as a
@@ -343,11 +347,12 @@ class MemoryArbiter:
         ``score`` overrides the policy for context-dependent scoring
         (the GPU's Eq. 2 needs the candidate set's max cost); the
         region's policy from ``core/policies.py`` is the default.
+        Ties go to the earliest candidate.
         """
         items = candidates if isinstance(candidates, list) \
             else list(candidates)
-        if not items:
-            return None
+        if len(items) <= 1:
+            return items[0] if items else None
         if score is None:
             policy = self._regions[name].policy
             if policy is None:

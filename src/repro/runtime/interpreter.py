@@ -542,8 +542,8 @@ class Interpreter:
             return
         entry = self.cache.get_entry(slot.lineage)
         if entry is not None and entry.is_cached:
-            entry.put_payload(BACKEND_CP, value, value.nbytes,
-                              entry.compute_cost)
+            self.cache.attach_payload(entry, BACKEND_CP, value,
+                                      value.nbytes, entry.compute_cost)
             if count_job:
                 entry.jobs += 1
             return

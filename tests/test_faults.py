@@ -263,3 +263,22 @@ class TestHarnessFlag:
 
         with pytest.raises(ValueError):
             main(["fig11a", "--faults", "meteor_strike@0"])
+
+
+class TestAmbientReset:
+    def test_reset_clears_policy_overrides(self):
+        from repro.common.config import (
+            EvictionPolicyName,
+            clear_policy_overrides,
+            install_policy_overrides,
+        )
+        from repro.faults.determinism import reset_ambient_state
+
+        install_policy_overrides(policy=EvictionPolicyName.LRU)
+        try:
+            assert MemphisConfig().cache.policy is EvictionPolicyName.LRU
+            reset_ambient_state()
+            assert MemphisConfig().cache.policy \
+                is EvictionPolicyName.COST_SIZE
+        finally:
+            clear_policy_overrides()

@@ -1,10 +1,11 @@
 """Stateful property-based tests of the memory managers' invariants."""
 
 import numpy as np
-from hypothesis import settings
+from hypothesis import event, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
+    initialize,
     invariant,
     precondition,
     rule,
@@ -22,13 +23,20 @@ from repro.common.config import (
     CpuConfig,
     EvictionPolicyName,
     GpuConfig,
+    MemphisConfig,
     SparkConfig,
     StorageLevel,
 )
 from repro.common.errors import BufferPoolError, GpuOutOfMemoryError
 from repro.common.simclock import SimClock
 from repro.common.stats import Stats
-from repro.memory import MemoryArbiter
+from repro.core import victims
+from repro.core.entry import BACKEND_CP, BACKEND_SP
+from repro.core.substrate import Substrate
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
+from repro.faults.plan import KIND_RESTORE_IO, KIND_SPILL_IO
+from repro.lineage.item import LineageItem, dataset
+from repro.memory import REGION_CP, MemoryArbiter
 from repro.runtime.values import MatrixValue
 
 
@@ -446,3 +454,249 @@ TestBufferPoolStateful = BufferPoolMachine.TestCase
 TestBufferPoolStateful.settings = settings(
     max_examples=30, stateful_step_count=40, deadline=None
 )
+
+
+class VictimSelectionMachine(RuleBasedStateMachine):
+    """The driver cache's indexed victim choice equals a brute-force scan.
+
+    Every CP victim selection is checked against a first-minimum
+    ``min()`` over the cache's entry map, using the candidate filter of
+    the full scan the index replaced: entries holding a cached CP
+    payload; under a session scope, not pinned and evictable; on the
+    tenant-quota path, the tenant's own unpinned entries except the one
+    being put.  Runs on private caches and on shared caches with two or
+    three tenants, over probes, delayed puts, re-puts, exchange copies,
+    size growth, spills, restores (with injected I/O faults), removal,
+    invalidation, pins and quota changes.
+    """
+
+    POLICY = EvictionPolicyName.COST_SIZE
+    KEYS = 14
+    SIZES = (256, 512, 1024, 1536, 3072)
+    #: close costs, so that size growth reorders Eq. 1 scores; 1e7 and
+    #: 3e7 spill at these sizes, 1.0 and 3.0 are dropped.
+    COSTS = (1.0, 3.0, 1e7, 3e7)
+
+    def __init__(self):
+        super().__init__()
+        self.cache = None
+        self.scopes = []
+        #: the entry being put while ``_fit_tenant_quota`` runs.
+        self._fitting = None
+        # exercise compaction even in short runs
+        self._min_records = victims._MIN_RECORDS
+        victims._MIN_RECORDS = 4
+
+    def teardown(self):
+        victims._MIN_RECORDS = self._min_records
+
+    @initialize(tenants=st.sampled_from((0, 2, 3)),
+                quota=st.sampled_from((1024, 2500, 6000)),
+                restore_faults=st.sets(st.integers(0, 6), max_size=3),
+                spill_faults=st.sets(st.integers(0, 6), max_size=2))
+    def setup(self, tenants, quota, restore_faults, spill_faults):
+        cfg = MemphisConfig.memphis()
+        cfg.cache.policy = self.POLICY
+        cfg.cache.driver_cache_bytes = 5 * 1024
+        cfg.cache.disk_cache_bytes = 3 * 1024
+        clock, stats = SimClock(), Stats()
+        plan = FaultPlan(specs=[FaultSpec(kind=KIND_RESTORE_IO, at=i)
+                                for i in sorted(restore_faults)]
+                         + [FaultSpec(kind=KIND_SPILL_IO, at=i)
+                            for i in sorted(spill_faults)])
+        substrate = Substrate(cfg, stats=stats, clock=clock,
+                              faults=FaultInjector(plan, clock, stats),
+                              shared=tenants > 0)
+        self.substrate = substrate
+        self.cache = cache = substrate.cache
+        self.scopes = [substrate.attach(None, f"t{i}")
+                       for i in range(tenants)]
+        for i, ctx in enumerate(self.scopes):
+            # the last tenant has no quota: never protected
+            substrate.set_quota(ctx.tenant,
+                                None if i == tenants - 1 else quota)
+        if self.scopes:
+            substrate.activate(self.scopes[0])
+
+        select = cache.arbiter.select_victim
+        fit = cache._fit_tenant_quota
+
+        def checked_select(name, candidates, **kw):
+            victim = select(name, candidates, **kw)
+            if name == REGION_CP:
+                assert victim is self._brute_force(kw.get("now", 0.0))
+                event("own-tenant selection" if self._fitting is not None
+                      else "global selection")
+            return victim
+
+        def tracked_fit(entry, size):
+            self._fitting = entry
+            try:
+                return fit(entry, size)
+            finally:
+                self._fitting = None
+
+        cache.arbiter.select_victim = checked_select
+        cache._fit_tenant_quota = tracked_fit
+
+    def _brute_force(self, now):
+        cache = self.cache
+        entries = cache._entries.values()
+        entry = self._fitting
+        if entry is not None:
+            candidates = [
+                e for e in entries
+                if e.tenant == entry.tenant and e is not entry
+                and BACKEND_CP in e.payloads and e.is_cached
+                and not e.pinned
+            ]
+        else:
+            scope = cache._scope
+            candidates = [
+                e for e in entries
+                if BACKEND_CP in e.payloads and e.is_cached
+                and (scope is None
+                     or (not e.pinned and scope.evictable(e)))
+            ]
+        if not candidates:
+            return None
+        return min(candidates, key=lambda e: cache.policy.score(e, now))
+
+    def key(self, k):
+        # even keys have no data leaf: pure, shared by every tenant;
+        # odd keys read an unregistered dataset: namespaced per session
+        if k % 2 == 0:
+            return LineageItem("exp", (f"k{k}",), ())
+        return LineageItem("exp", (f"k{k}",), (dataset("X"),))
+
+    def _cached(self, k):
+        entry = self.cache.get_entry(self.key(k))
+        return entry if entry is not None and entry.is_cached else None
+
+    @rule(who=st.integers(0, 3))
+    def switch_scope(self, who):
+        if self.scopes:
+            self.substrate.activate(
+                self.scopes[who] if who < len(self.scopes) else None)
+
+    @rule(k=st.integers(0, KEYS - 1))
+    def probe(self, k):
+        self.cache.probe(self.key(k))
+
+    @rule(k=st.integers(0, KEYS - 1), size=st.sampled_from(SIZES),
+          cost=st.sampled_from(COSTS), delay=st.integers(1, 2))
+    def put(self, k, size, cost, delay):
+        self.cache.put(self.key(k), f"v{k}", BACKEND_CP, size, cost,
+                       delay_factor=delay)
+
+    @rule(k=st.integers(0, 3), size=st.sampled_from(SIZES),
+          cost=st.sampled_from(COSTS))
+    def put_hot(self, k, size, cost):
+        # a few hot keys: re-puts of cached entries
+        self.cache.put(self.key(k), f"h{k}", BACKEND_CP, size, cost)
+
+    @rule(k=st.integers(0, KEYS - 1), size=st.sampled_from(SIZES))
+    def exchange_copy(self, k, size):
+        # Interpreter._cache_exchange on a cached entry: an uncharged
+        # CP copy plus one more job reference
+        entry = self._cached(k)
+        if entry is not None:
+            self.cache.attach_payload(entry, BACKEND_CP, f"x{k}", size,
+                                      entry.compute_cost)
+            entry.jobs += 1
+
+    @rule(k=st.integers(0, KEYS - 1), grow=st.integers(1, 2048),
+          via_put=st.booleans())
+    def grow_sp(self, k, grow, via_put):
+        entry = self._cached(k)
+        if entry is None:
+            return
+        size = entry.size + grow
+        if via_put:
+            self.cache.put(self.key(k), f"s{k}", BACKEND_SP, size,
+                           entry.compute_cost)
+        else:  # SparkCacheManager.cache_rdd
+            self.cache.attach_payload(entry, BACKEND_SP, f"s{k}", size,
+                                      entry.compute_cost)
+
+    @rule(size=st.sampled_from(SIZES))
+    def make_space(self, size):
+        self.cache.make_space(BACKEND_CP, size)
+
+    @rule(k=st.integers(0, KEYS - 1))
+    def remove(self, k):
+        self.cache.remove(self.key(k))
+
+    @rule(k=st.integers(0, KEYS - 1))
+    def invalidate(self, k):
+        entry = self.cache.get_entry(self.key(k))
+        if entry is not None:
+            self.cache.invalidate_entry(entry)
+
+    @rule(k=st.integers(0, KEYS - 1), pin=st.booleans())
+    def pin(self, k, pin):
+        scope = self.cache._scope
+        if scope is not None:
+            (scope.pin if pin else scope.unpin)(self.key(k))
+
+    @rule(who=st.integers(0, 2),
+          quota=st.sampled_from((None, 0, 512, 2500, 6000)))
+    def requota(self, who, quota):
+        if who < len(self.scopes):
+            self.substrate.set_quota(self.scopes[who].tenant, quota)
+
+    @invariant()
+    def cp_ledger_holds(self):
+        # only CP: the DISK ledger releases an entry's current size,
+        # which can exceed what its spill charged once the entry grew
+        if self.cache is not None:
+            self.cache.arbiter.region(REGION_CP).check()
+
+
+def _victim_selection_case(policy):
+    machine = type(f"VictimSelection_{policy.value}",
+                   (VictimSelectionMachine,), {"POLICY": policy})
+    case = machine.TestCase
+    case.settings = settings(max_examples=60, stateful_step_count=80,
+                             deadline=None)
+    return case
+
+
+TestVictimSelectionCostSize = _victim_selection_case(
+    EvictionPolicyName.COST_SIZE)
+TestVictimSelectionLru = _victim_selection_case(EvictionPolicyName.LRU)
+TestVictimSelectionLrc = _victim_selection_case(EvictionPolicyName.LRC)
+TestVictimSelectionMrd = _victim_selection_case(EvictionPolicyName.MRD)
+
+
+def test_quota_shrinks_own_first_minimum():
+    """A tenant at its quota sheds its own lowest-score entry first,
+    ties to the earliest, never the entry being put nor another
+    tenant's entry."""
+    substrate = Substrate(MemphisConfig.memphis(), shared=True)
+    alpha = substrate.attach(None, "alpha")
+    beta = substrate.attach(None, "beta")
+    substrate.set_quota("alpha", 4000)
+    cache = substrate.cache
+    substrate.activate(beta)
+    other = LineageItem("exp", ("b",), ())
+    cache.put(other, "b", BACKEND_CP, 500, 0.5)
+    substrate.activate(alpha)
+    keys = [LineageItem("exp", (f"a{i}",), ()) for i in range(6)]
+
+    def cached():
+        return [cache.get_entry(k) is not None
+                and cache.get_entry(k).is_cached for k in keys]
+
+    for k, cost in zip(keys, (5.0, 1.0, 1.0, 1.0)):
+        cache.put(k, "a", BACKEND_CP, 1000, cost)
+    cache.put(keys[4], "a", BACKEND_CP, 1000, 1.0)
+    # a1..a3 tie: the earliest goes
+    assert cached() == [True, False, True, True, True, False]
+    cache.put(keys[2], "a", BACKEND_CP, 1500, 1.0)
+    # a2 is being re-put: a3 is the earliest of the cheapest others
+    assert cached() == [True, False, True, False, True, False]
+    cache.put(keys[5], "a", BACKEND_CP, 3500, 9.0)
+    # a2 (1/1500) before a4 (1/1000) before a0 (5/1000)
+    assert cached() == [False, False, False, False, False, True]
+    assert cache.get_entry(other).is_cached
