@@ -188,10 +188,107 @@ def test_cp_eviction_order_byte_identical(run):
     assert current["digest"] == recorded["digest"]
 
 
+# ---------------------------------------------------------------------------
+# Spark job costs: every Spark job must charge the same simulated time and
+# bump the same ``spark/*`` counters, job by job, however the simulator
+# produces the partition values.
+
+SPARK_BASELINE = pathlib.Path(__file__).parent / "baselines" / \
+    "spark_job_costs.json"
+
+
+def _pnmf_cell():
+    """The fig13b PNMF cell at 15 iterations, Base then MPH: Base
+    re-executes every earlier iteration in each job, MPH checkpoints."""
+    from repro.workloads.pnmf_wl import run_pnmf
+
+    for system in ("Base", "MPH"):
+        run_pnmf(system, 15)
+
+
+def _pnmf_faulted():
+    """PNMF at 8 iterations, Base then MPH, under executor losses and
+    Spark task retries: lost shuffle files and cached partitions
+    recompute from lineage, failed attempts recompute their partition."""
+    from repro.faults.plan import FaultPlan, install_plan, uninstall_plan
+    from repro.workloads.pnmf_wl import run_pnmf
+
+    for system in ("Base", "MPH"):
+        install_plan(FaultPlan.parse(
+            "executor_loss@2,count=2;executor_loss@9;spark_task@3,count=2;"
+            "spark_task@40;spark_task@60,count=3;seed=5"
+        ))
+        try:
+            run_pnmf(system, 8)
+        finally:
+            uninstall_plan()
+
+
+SPARK_RUNS = {
+    "pnmf_15it_base_mph": _pnmf_cell,
+    "pnmf_8it_base_mph_faulted": _pnmf_faulted,
+}
+
+
+def spark_job_costs(run) -> dict:
+    """Every Spark job of ``run()`` as ``[rdd name, stages, tasks,
+    repr(duration), spark/* and faults/* counters after the job]``, in
+    order, plus a digest of the sequence."""
+    import hashlib
+
+    from repro.backends.spark.context import SparkContext
+    from repro.faults.determinism import reset_global_ids
+
+    jobs: list = []
+    original = SparkContext.run_job
+
+    def recording(self, rdd):
+        result, end = original(self, rdd)
+        counters = {k: v for k, v in sorted(self.stats.counters().items())
+                    if k.startswith(("spark/", "faults/"))}
+        jobs.append([rdd.name, result.num_stages, result.num_tasks,
+                     repr(result.duration), counters])
+        return result, end
+
+    reset_global_ids()
+    SparkContext.run_job = recording
+    try:
+        run()
+    finally:
+        SparkContext.run_job = original
+    digest = hashlib.sha256(json.dumps(jobs).encode()).hexdigest()
+    return {"count": len(jobs), "digest": digest, "jobs": jobs}
+
+
+@pytest.mark.parametrize("run", sorted(SPARK_RUNS))
+def test_spark_job_costs_byte_identical(run):
+    if not SPARK_BASELINE.exists():
+        pytest.skip(f"no recorded baseline at {SPARK_BASELINE}")
+    recorded = json.loads(SPARK_BASELINE.read_text())[run]
+    current = spark_job_costs(SPARK_RUNS[run])
+    assert current["count"] == recorded["count"]
+    assert current["jobs"] == recorded["jobs"]
+    assert current["digest"] == recorded["digest"]
+
+
+BASELINES = {
+    "cp_eviction_order": (EVICTION_BASELINE, EVICTION_RUNS,
+                          cp_eviction_order),
+    "spark_job_costs": (SPARK_BASELINE, SPARK_RUNS, spark_job_costs),
+}
+
+
 if __name__ == "__main__":
-    # re-record the eviction-order baseline (only from a tree whose
-    # victim selection is known to be right)
-    EVICTION_BASELINE.write_text(json.dumps(
-        {name: cp_eviction_order(run)
-         for name, run in sorted(EVICTION_RUNS.items())},
+    # re-record one baseline (only from a tree whose behaviour is known
+    # to be right):
+    #   python -m benchmarks.test_memory_guard cp_eviction_order
+    #   python -m benchmarks.test_memory_guard spark_job_costs
+    import sys
+
+    if len(sys.argv) != 2 or sys.argv[1] not in BASELINES:
+        sys.exit(f"usage: python -m benchmarks.test_memory_guard "
+                 f"{{{'|'.join(sorted(BASELINES))}}}")
+    path, runs, record = BASELINES[sys.argv[1]]
+    path.write_text(json.dumps(
+        {name: record(run) for name, run in sorted(runs.items())},
         indent=1) + "\n")

@@ -15,7 +15,12 @@ import numpy as np
 
 from repro.backends.spark.blockmanager import BlockManager
 from repro.backends.spark.broadcast import Broadcast
-from repro.backends.spark.rdd import RDD, ParallelizedRDD, ShuffleDependency
+from repro.backends.spark.rdd import (
+    RDD,
+    ParallelizedRDD,
+    ShuffleDependency,
+    ValueMemo,
+)
 from repro.backends.spark.scheduler import DAGScheduler, JobResult
 from repro.common.config import SparkConfig
 from repro.common.simclock import CLUSTER, HOST, SimClock, SimFuture
@@ -53,8 +58,11 @@ class SparkContext:
         self.driver_retained_bytes = 0
         self.shuffle_store_bytes = 0
         #: job-scoped partition memo set by the DAGScheduler: within one
-        #: job, each (rdd, partition) is computed at most once.
+        #: job, each (rdd, partition) is charged at most once.
         self.job_memo = None
+        #: deterministic narrow partition values (host-side only; its
+        #: ``hits``/``misses`` count values served and computed).
+        self.value_memo = ValueMemo()
         self._rdds: dict[int, RDD] = {}
         #: parallel job lanes: concurrently submitted jobs overlap on the
         #: cluster up to this degree (Spark runs independent jobs
@@ -194,9 +202,7 @@ class SparkContext:
                fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
         """Synchronous reduce of all partitions to the driver."""
         result, end = self.run_job(rdd)
-        out = result.partitions[0]
-        for block in result.partitions[1:]:
-            out = fn(out, block)
+        out = _fold(result.partitions, fn)
         transfer = out.nbytes / self.config.bandwidth_bytes_per_s
         self.clock.advance_to(end, HOST)
         self.clock.advance(transfer, HOST)
@@ -210,9 +216,19 @@ class SparkContext:
         action for asynchronous execution (§5.1).
         """
         result, end = self.run_job(rdd)
-        out = result.partitions[0]
-        for block in result.partitions[1:]:
-            out = fn(out, block)
+        out = _fold(result.partitions, fn)
         transfer = out.nbytes / self.config.bandwidth_bytes_per_s
         return SimFuture(self.clock, end + transfer, out,
                          label=f"reduce:{rdd.name}")
+
+
+def _fold(partitions: list[np.ndarray],
+          fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+    """Fold result partitions with ``fn``; a lone partition is copied, so
+    the driver never holds an array that the cluster still shares."""
+    if len(partitions) == 1:
+        return partitions[0].copy()
+    out = partitions[0]
+    for block in partitions[1:]:
+        out = fn(out, block)
+    return out

@@ -13,11 +13,21 @@ Two dependency types drive stage splitting:
 * :class:`ShuffleDependency` — all-to-all; the map side writes shuffle
   files which Spark implicitly caches until destroyed, enabling the
   shuffle-file reuse the paper exploits for unmaterialized cached RDDs.
+
+Cost and value are separate.  Every job walks the lineage of the
+partitions it needs and charges every recomputation, exactly as Spark's
+lazy evaluation would (parent reads, cache lookups, broadcast fetches,
+flops).  A narrow partition's *value*, however, is deterministic: after
+its first compute, the walk hands out a :class:`PendingPartition` and the
+partition function runs only when a consumer (a result task, a shuffle
+map task, a persist) needs the value and the context's
+:class:`ValueMemo` does not hold it.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from typing import Callable, Optional, TYPE_CHECKING
 
 import numpy as np
@@ -29,6 +39,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.backends.spark.context import SparkContext
 
 _rdd_ids = itertools.count(1)
+
+#: byte budget of each SparkContext's narrow-partition value memo (LRU).
+VALUE_MEMO_BYTES = 1 << 20
 
 
 class TaskMetrics:
@@ -83,6 +96,85 @@ class ShuffleDependency:
         self.shuffle_bytes = 0
 
 
+class PendingPartition:
+    """A narrow partition whose cost is charged but whose value is not
+    computed: ``rdd._fn(*args)`` runs when :func:`materialize` needs it.
+
+    ``args`` are the parent partitions (pending or concrete) and any
+    broadcast value, fetched by the cost walk in Spark's order.
+    """
+
+    __slots__ = ("rdd", "index", "args")
+
+    def __init__(self, rdd: "NarrowRDD", index: int, args: tuple) -> None:
+        self.rdd = rdd
+        self.index = index
+        self.args = args
+
+
+def materialize(block) -> np.ndarray:
+    """The value of a partition returned by :meth:`RDD.get_partition`."""
+    if type(block) is PendingPartition:
+        return block.rdd.context.value_memo.value(
+            block.rdd, block.index, block.args
+        )
+    return block
+
+
+class ValueMemo:
+    """Per-context memo of narrow partition values, bounded and LRU.
+
+    Keyed by the RDD *object* and the partition index (``rdd.id`` alone
+    repeats after ``reset_global_ids``).  Values are read-only views, so
+    no consumer can corrupt a later job's input.  ``job`` holds every
+    value produced or served during the running job, so the partition
+    function runs at most once per ``(rdd, partition)`` per job even
+    when the LRU has evicted it.  Nothing here touches simulated time or
+    ``Stats``: ``hits`` and ``misses`` (partition function runs) are
+    host-side only.
+    """
+
+    def __init__(self) -> None:
+        self.budget = VALUE_MEMO_BYTES
+        self.bytes = 0
+        self.hits = 0
+        self.misses = 0
+        self.job: Optional[dict] = None
+        self._lru: OrderedDict[tuple, np.ndarray] = OrderedDict()
+
+    def value(self, rdd: "NarrowRDD", index: int, args: tuple) -> np.ndarray:
+        """Partition ``index`` of ``rdd``; runs ``rdd._fn`` on a miss."""
+        key = (rdd, index)
+        job = self.job
+        if job is not None:
+            out = job.get(key)
+            if out is not None:
+                self.hits += 1
+                return out
+        out = self._lru.get(key)
+        if out is None:
+            self.misses += 1
+            out = rdd._fn(*[materialize(a) for a in args]).view()
+            out.flags.writeable = False
+            self._store(key, out)
+        else:
+            self.hits += 1
+            self._lru.move_to_end(key)
+        if job is not None:
+            job[key] = out
+        return out
+
+    def _store(self, key: tuple, out: np.ndarray) -> None:
+        nbytes = out.nbytes
+        if nbytes > self.budget:
+            return
+        lru = self._lru
+        while self.bytes + nbytes > self.budget:
+            self.bytes -= lru.popitem(last=False)[1].nbytes
+        lru[key] = out
+        self.bytes += nbytes
+
+
 class RDD:
     """Base class of all RDD flavours.
 
@@ -128,16 +220,21 @@ class RDD:
         """Parent RDDs over both dependency kinds."""
         return [d.rdd for d in self.deps]
 
-    def compute(self, index: int, metrics: TaskMetrics) -> np.ndarray:
-        """Compute partition ``index`` (narrow chain, consults the cache)."""
+    def compute(self, index: int, metrics: TaskMetrics):
+        """Charge partition ``index`` (narrow chain, consults the cache);
+        returns its value or a :class:`PendingPartition`."""
         raise NotImplementedError
 
-    def get_partition(self, index: int, metrics: TaskMetrics) -> np.ndarray:
+    def get_partition(self, index: int, metrics: TaskMetrics):
         """Cached-or-computed partition access (Spark's ``iterator()``).
 
-        Within one job, each partition is computed at most once even when
+        Charges ``metrics`` for everything Spark would do to produce the
+        partition, and returns either its value or a
+        :class:`PendingPartition` (pass it to :func:`materialize`).
+        Within one job, each partition is charged at most once even when
         referenced along several dependency paths — mirroring how real
-        plans bound recomputation at shuffle/exchange boundaries.
+        plans bound recomputation at shuffle/exchange boundaries.  A
+        persisted partition is materialized before it is stored.
         """
         bm = self.context.block_manager
         if self.is_persisted:
@@ -151,11 +248,12 @@ class RDD:
         if memo is not None and key in memo:
             return memo[key]
         block = self.compute(index, metrics)
-        if memo is not None:
-            memo[key] = block
         if self.is_persisted:
+            block = materialize(block)
             self._materialized_once.add(index)
             bm.put_partition(self.id, index, block, self.storage_level)
+        if memo is not None:
+            memo[key] = block
         return block
 
     # -- transformations (lazy) --------------------------------------------
@@ -221,23 +319,49 @@ class ParallelizedRDD(RDD):
         return block
 
 
-class MappedRDD(RDD):
+class NarrowRDD(RDD):
+    """A narrow RDD whose partition value is ``self._fn(*args)``.
+
+    ``compute`` charges the partition (parent walks, broadcast fetch,
+    flops from the output size recorded at its first compute) and defers
+    ``_fn`` to :func:`materialize` through the context's value memo.
+    """
+
+    def __init__(self, context: "SparkContext", deps: list,
+                 num_partitions: int, name: str, fn,
+                 flops_per_cell: float) -> None:
+        super().__init__(context, deps, num_partitions, name)
+        self._fn = fn
+        self._flops_per_cell = flops_per_cell
+        #: output cells per partition, recorded at the first compute
+        self._sizes: dict[int, int] = {}
+
+    def _charge(self, index: int, metrics: TaskMetrics, args: tuple):
+        size = self._sizes.get(index)
+        if size is None:
+            # first compute: the output size prices this and every
+            # later recomputation of the partition
+            out = self.context.value_memo.value(self, index, args)
+            size = self._sizes[index] = out.size
+        else:
+            out = PendingPartition(self, index, args)
+        metrics.flops += self._flops_per_cell * size
+        return out
+
+
+class MappedRDD(NarrowRDD):
     """Narrow per-block map (element-wise Spark operators, Fig. 7)."""
 
     def __init__(self, parent: RDD, fn, name: str, flops_per_cell: float) -> None:
         super().__init__(parent.context, [NarrowDependency(parent)],
-                         parent.num_partitions, name)
-        self._fn = fn
-        self._flops_per_cell = flops_per_cell
+                         parent.num_partitions, name, fn, flops_per_cell)
 
-    def compute(self, index: int, metrics: TaskMetrics) -> np.ndarray:
+    def compute(self, index: int, metrics: TaskMetrics):
         block = self.deps[0].rdd.get_partition(index, metrics)
-        out = self._fn(block)
-        metrics.flops += self._flops_per_cell * out.size
-        return out
+        return self._charge(index, metrics, (block,))
 
 
-class ZippedRDD(RDD):
+class ZippedRDD(NarrowRDD):
     """Narrow partition-aligned binary op (element-wise zips, Fig. 7)."""
 
     def __init__(self, left: RDD, right: RDD, fn, name: str,
@@ -249,38 +373,32 @@ class ZippedRDD(RDD):
             )
         super().__init__(left.context,
                          [NarrowDependency(left), NarrowDependency(right)],
-                         left.num_partitions, name)
-        self._fn = fn
-        self._flops_per_cell = flops_per_cell
+                         left.num_partitions, name, fn, flops_per_cell)
 
-    def compute(self, index: int, metrics: TaskMetrics) -> np.ndarray:
+    def compute(self, index: int, metrics: TaskMetrics):
         a = self.deps[0].rdd.get_partition(index, metrics)
         b = self.deps[1].rdd.get_partition(index, metrics)
-        out = self._fn(a, b)
-        metrics.flops += self._flops_per_cell * out.size
-        return out
+        return self._charge(index, metrics, (a, b))
 
 
-class BroadcastMapRDD(RDD):
-    """Narrow map against a broadcast variable (e.g. ``y^T X``, Fig. 2(b))."""
+class BroadcastMapRDD(NarrowRDD):
+    """Narrow map against a broadcast variable (e.g. ``y^T X``, Fig. 2(b)).
+
+    ``flops_per_cell`` encodes the per-output-cell work (e.g. 2 * inner
+    dimension for a broadcast matrix multiply).
+    """
 
     def __init__(self, parent: RDD, bc: "Broadcast", fn, name: str,
                  flops_per_cell: float) -> None:
         super().__init__(parent.context, [NarrowDependency(parent)],
-                         parent.num_partitions, name)
+                         parent.num_partitions, name, fn, flops_per_cell)
         self.broadcast_var = bc
         self.broadcast_refs.append(bc)
-        self._fn = fn
-        self._flops_per_cell = flops_per_cell
 
-    def compute(self, index: int, metrics: TaskMetrics) -> np.ndarray:
+    def compute(self, index: int, metrics: TaskMetrics):
         block = self.deps[0].rdd.get_partition(index, metrics)
         value = self.broadcast_var.value_on_executor(metrics)
-        out = self._fn(block, value)
-        # flops_per_cell encodes the per-output-cell work (e.g. 2 * inner
-        # dimension for a broadcast matrix multiply)
-        metrics.flops += self._flops_per_cell * out.size
-        return out
+        return self._charge(index, metrics, (block, value))
 
 
 class ShuffledRDD(RDD):

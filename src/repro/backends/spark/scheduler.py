@@ -11,6 +11,10 @@ stage.  The simulated job duration follows the standard cluster model::
 Shuffle files persist across jobs (implicit Spark caching), so repeated
 jobs over a shared dependency skip the map side — the shuffle-file reuse
 MEMPHIS relies on for unmaterialized cached RDDs (§4.1).
+
+Tasks charge their partitions through :meth:`RDD.get_partition`; result
+tasks and shuffle map tasks are the consumers that
+:func:`~repro.backends.spark.rdd.materialize` the values.
 """
 
 from __future__ import annotations
@@ -20,7 +24,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.backends.spark.rdd import RDD, ShuffleDependency, TaskMetrics
+from repro.backends.spark.rdd import (
+    RDD,
+    ShuffleDependency,
+    TaskMetrics,
+    materialize,
+)
 from repro.common.errors import FaultInjectionError
 from repro.common.stats import (
     FAULT_SPARK_TASK_RETRIES,
@@ -66,12 +75,18 @@ class DAGScheduler:
 
     def execute(self, rdd: RDD) -> JobResult:
         """Run a job whose result stage materializes all of ``rdd``."""
+        self.context.stats.inc(SPARK_JOBS)
+        values = self.context.value_memo
+        outer_memo, outer_values = self.context.job_memo, values.job
+        self.context.job_memo, values.job = {}, {}
+        try:
+            return self._execute(rdd)
+        finally:
+            self.context.job_memo, values.job = outer_memo, outer_values
+
+    def _execute(self, rdd: RDD) -> JobResult:
         cfg = self.context.config
         stats = self.context.stats
-        stats.inc(SPARK_JOBS)
-        outer_memo = self.context.job_memo
-        self.context.job_memo = {}
-
         pending = self._pending_shuffles(rdd)
         stage_times: list[float] = []
         stages: list[tuple[str, int, float]] = []
@@ -91,7 +106,8 @@ class DAGScheduler:
             for idx in range(rdd.num_partitions):
                 partitions.append(self._run_task(
                     rdd, idx, task_times,
-                    lambda metrics, i=idx: rdd.get_partition(i, metrics),
+                    lambda metrics, i=idx: materialize(
+                        rdd.get_partition(i, metrics)),
                 ))
         finally:
             self.context.block_manager.set_computing(None)
@@ -99,7 +115,6 @@ class DAGScheduler:
         stages.append(("result", rdd.num_partitions, stage_times[-1]))
         total_tasks += rdd.num_partitions
         stats.inc(SPARK_TASKS, total_tasks)
-        self.context.job_memo = outer_memo
 
         duration = cfg.job_overhead_s + sum(stage_times)
         return JobResult(partitions, duration, len(stage_times), total_tasks,
@@ -169,7 +184,7 @@ class DAGScheduler:
                     continue
 
                 def map_task(metrics: TaskMetrics, i: int = idx):
-                    block = parent.get_partition(i, metrics)
+                    block = materialize(parent.get_partition(i, metrics))
                     out = dep.map_side(i, block)
                     metrics.bytes_shuffled += sum(
                         b.nbytes for b in out.values()
@@ -197,7 +212,9 @@ class DAGScheduler:
         Each attempt charges its own task time (the stage model treats a
         retry as an extra task competing for the same slots).  A failed
         attempt's partial result is discarded — the per-job memo entry is
-        dropped so the retry recomputes the partition from RDD lineage.
+        dropped so the retry charges the partition's recomputation from
+        RDD lineage again (its deterministic value comes from the value
+        memo).
         """
         faults = self.context.faults
         fault = faults.spark_task() if faults.enabled else None

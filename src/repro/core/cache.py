@@ -358,10 +358,12 @@ class LineageCache:
                                      entry.compute_cost) \
                 and not self._spill_faulted(entry):
             self.clock.advance(entry.size / self.disk_bytes_per_s)
+            self._release_disk(entry)  # re-spill replaces the old copy
             entry.payloads[BACKEND_DISK] = payload
             entry.payloads.pop(BACKEND_CP, None)
             entry.status = EntryStatus.SPILLED
             self.arbiter.acquire(REGION_DISK, entry.size)
+            entry.disk_accounted = entry.size
             self.stats.inc(CACHE_SPILLS)
             self.arbiter.record_spill(REGION_CP, entry.size,
                                       key=entry.key.id)
@@ -377,6 +379,13 @@ class LineageCache:
             self.tracer.instant(EV_CACHE_EVICT, backend=BACKEND_CP,
                                 size=entry.size, opcode=entry.key.opcode,
                                 key=entry.key.id)
+
+    def _release_disk(self, entry: CacheEntry) -> None:
+        """Release what the entry's spilled copy charged to DISK."""
+        nbytes = entry.disk_accounted
+        if nbytes:
+            self.arbiter.release(REGION_DISK, nbytes)
+            entry.disk_accounted = 0
 
     def _spill_faulted(self, entry: CacheEntry) -> bool:
         """Injected spill-I/O error: the write fails, the payload is lost.
@@ -404,7 +413,7 @@ class LineageCache:
             # injected read error: the disk copy is unusable and dropped;
             # the caller falls back to lineage recomputation
             self.arbiter.cancel(REGION_CP, entry.size)
-            self.arbiter.release(REGION_DISK, entry.size)
+            self._release_disk(entry)
             entry.drop_payload(BACKEND_DISK)
             if entry.payloads:
                 entry.status = EntryStatus.CACHED
@@ -414,7 +423,7 @@ class LineageCache:
         entry.payloads.pop(BACKEND_DISK, None)
         entry.status = EntryStatus.CACHED
         self._victims.add(entry)
-        self.arbiter.release(REGION_DISK, entry.size)
+        self._release_disk(entry)
         self.arbiter.commit(REGION_CP, entry.size)
         entry.cp_accounted = entry.size
         if entry.tenant is not None:
@@ -460,7 +469,7 @@ class LineageCache:
             entry.drop_payload(BACKEND_CP)
             dropped.append(BACKEND_CP)
         if BACKEND_DISK in entry.payloads:
-            self.arbiter.release(REGION_DISK, entry.size)
+            self._release_disk(entry)
             entry.drop_payload(BACKEND_DISK)
             dropped.append(BACKEND_DISK)
         if BACKEND_SP in entry.payloads:
@@ -528,12 +537,14 @@ class LineageCache:
         entry = self._entries.pop(key, None)
         if entry is not None:
             self._release_cp(entry)
+            self._release_disk(entry)
 
     def clear(self) -> None:
         self._entries.clear()
         self._victims.clear()
         self._gpu_index.clear()
         self._cp_region.reset()
+        self._disk_region.reset()
 
     def cached_count(self, backend: Optional[str] = None) -> int:
         """Number of CACHED entries, optionally restricted to a backend."""

@@ -37,6 +37,7 @@ class CacheEntry:
         "key", "status", "payloads", "size", "compute_cost", "height",
         "hits", "misses", "jobs", "last_access", "seen_count",
         "is_function", "rdd_materialized", "outputs", "cp_accounted",
+        "disk_accounted",
         "owner", "tenant", "request", "pinned", "seq",
     )
 
@@ -66,6 +67,10 @@ class CacheEntry:
         #: budget drifts (CP copies attached as exchange ride-alongs are
         #: never charged).
         self.cp_accounted = 0
+        #: bytes this entry's spilled copy has charged to the DISK
+        #: region: the size at spill time, which a later re-put may grow
+        #: past, so every release must return exactly this.
+        self.disk_accounted = 0
         #: shared-substrate provenance (``repro.server``): the session
         #: uid that first put this entry and the tenant its CP bytes are
         #: attributed to.  ``None`` on private (single-session) caches.

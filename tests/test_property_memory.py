@@ -31,12 +31,13 @@ from repro.common.errors import BufferPoolError, GpuOutOfMemoryError
 from repro.common.simclock import SimClock
 from repro.common.stats import Stats
 from repro.core import victims
+from repro.core.cache import BACKEND_DISK
 from repro.core.entry import BACKEND_CP, BACKEND_SP
 from repro.core.substrate import Substrate
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.faults.plan import KIND_RESTORE_IO, KIND_SPILL_IO
 from repro.lineage.item import LineageItem, dataset
-from repro.memory import REGION_CP, MemoryArbiter
+from repro.memory import REGION_CP, REGION_DISK, MemoryArbiter
 from repro.runtime.values import MatrixValue
 
 
@@ -646,11 +647,19 @@ class VictimSelectionMachine(RuleBasedStateMachine):
             self.substrate.set_quota(self.scopes[who].tenant, quota)
 
     @invariant()
-    def cp_ledger_holds(self):
-        # only CP: the DISK ledger releases an entry's current size,
-        # which can exceed what its spill charged once the entry grew
-        if self.cache is not None:
-            self.cache.arbiter.region(REGION_CP).check()
+    def ledgers_hold(self):
+        # DISK holds exactly what the live spilled copies charged, even
+        # after an entry grew past its size at spill time
+        cache = self.cache
+        if cache is None:
+            return
+        cache.arbiter.region(REGION_CP).check()
+        disk = cache.arbiter.region(REGION_DISK)
+        disk.check()
+        entries = cache._entries.values()
+        for e in entries:
+            assert bool(e.disk_accounted) == (BACKEND_DISK in e.payloads)
+        assert disk.used == sum(e.disk_accounted for e in entries)
 
 
 def _victim_selection_case(policy):

@@ -7,6 +7,7 @@ from repro.backends.spark import SparkBackend, SparkContext
 from repro.common.config import SparkConfig, StorageLevel
 from repro.common.simclock import CLUSTER, HOST, SimClock
 from repro.common.stats import Stats
+from repro.faults import reset_global_ids
 from repro.runtime.values import MatrixValue
 
 
@@ -248,3 +249,170 @@ class TestBroadcast:
     def test_chunking(self, ctx):
         bc = ctx.broadcast(np.ones((1024, 1024)))  # 8 MB -> 2 chunks
         assert bc.num_chunks == 2
+
+
+class TestValueMemo:
+    """Narrow partition values are computed once; every cost still
+    charges.  Partition functions are counted by wrapping them."""
+
+    @staticmethod
+    def counting(calls, name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    def diamond(self, ctx, calls):
+        """``zip(x, f(x))`` plus a broadcast map on top: three
+        partitions of 100/100/50 rows."""
+        data = np.arange(1000.0).reshape(250, 4)
+        x = ctx.parallelize(data, "x")
+        f = x.map_blocks(self.counting(calls, "f", lambda b: b * 2), "f")
+        z = x.zip_blocks(f, self.counting(calls, "z", np.add), "z")
+        bc = ctx.broadcast(np.eye(4))
+        top = z.map_with_broadcast(
+            bc, self.counting(calls, "mm", lambda b, v: b @ v), "mm",
+            flops_per_cell=8.0)
+        return top, data * 3
+
+    def test_diamond_runs_each_fn_once_with_stable_costs(self, ctx):
+        from collections import Counter
+
+        calls = Counter()
+        top, expected = self.diamond(ctx, calls)
+        durations = []
+        for _ in range(4):
+            result, _ = ctx.run_job(top)
+            durations.append(repr(result.duration))
+            assert np.array_equal(np.vstack(result.partitions), expected)
+        assert calls == {"f": 3, "z": 3, "mm": 3}
+        assert ctx.value_memo.misses == 9
+        # the first job also pays the one-off broadcast transfer
+        assert len(set(durations[1:])) == 1
+        assert ctx.stats.get("spark/jobs") == 4
+
+    def test_costs_match_a_memo_that_holds_nothing(self, monkeypatch):
+        from collections import Counter
+
+        import repro.backends.spark.rdd as rdd_mod
+
+        def job_durations(budget):
+            monkeypatch.setattr(rdd_mod, "VALUE_MEMO_BYTES", budget)
+            reset_global_ids()
+            ctx = SparkContext(SparkConfig(block_size_rows=100), SimClock(),
+                               Stats())
+            top, _ = self.diamond(ctx, Counter())
+            return [repr(ctx.run_job(top)[0].duration) for _ in range(3)]
+
+        assert job_durations(0) == job_durations(rdd_mod.VALUE_MEMO_BYTES)
+
+    def test_budget_below_working_set(self, monkeypatch):
+        """A 4000-byte memo holds one 100x4 partition: values are evicted
+        between jobs, yet each function runs at most once per partition
+        per job, results stay right and the memo stays in budget."""
+        from collections import Counter
+
+        import repro.backends.spark.rdd as rdd_mod
+        from repro.backends.spark.rdd import ValueMemo
+
+        budget = 4000
+        monkeypatch.setattr(rdd_mod, "VALUE_MEMO_BYTES", budget)
+        peak = [0]
+        store = ValueMemo._store
+
+        def checked_store(self, key, out):
+            store(self, key, out)
+            peak[0] = max(peak[0], self.bytes)
+
+        monkeypatch.setattr(ValueMemo, "_store", checked_store)
+        ctx = SparkContext(SparkConfig(block_size_rows=100), SimClock(),
+                           Stats())
+        calls = Counter()
+        data = np.arange(1200.0).reshape(300, 4)
+        x = ctx.parallelize(data, "x")
+        a = x.map_blocks(self.counting(calls, "a", lambda b: b + 1), "a")
+        b = a.map_blocks(self.counting(calls, "b", lambda b: b * 2), "b")
+        c = a.zip_blocks(b, self.counting(calls, "c", np.subtract), "c")
+        d = b.zip_blocks(c, self.counting(calls, "d", np.add), "d")
+        expected_c = (data + 1) - (data + 1) * 2
+        expected_d = (data + 1) * 2 + expected_c
+        for job in range(5):
+            calls.clear()
+            out = ctx.collect(d if job % 2 else c)
+            assert np.array_equal(out, expected_d if job % 2 else expected_c)
+            assert max(calls.values()) <= x.num_partitions
+            assert ctx.value_memo.bytes <= budget
+        assert 0 < peak[0] <= budget
+        assert ctx.value_memo.misses > 3 * 4  # evictions forced recomputes
+
+    def test_only_consumed_values_are_computed(self, monkeypatch):
+        """A memo holding one partition keeps the chain's top: the next
+        job charges the whole chain but runs no function at all."""
+        from collections import Counter
+
+        import repro.backends.spark.rdd as rdd_mod
+
+        monkeypatch.setattr(rdd_mod, "VALUE_MEMO_BYTES", 2000)
+        ctx = SparkContext(SparkConfig(block_size_rows=100), SimClock(),
+                           Stats())
+        calls = Counter()
+        top = ctx.parallelize(np.ones((50, 4)), "x")
+        for name in "abc":
+            top = top.map_blocks(self.counting(calls, name, np.negative),
+                                 name)
+        first, _ = ctx.run_job(top)
+        assert calls == {"a": 1, "b": 1, "c": 1}
+        second, _ = ctx.run_job(top)
+        assert calls == {"a": 1, "b": 1, "c": 1}
+        assert repr(first.duration) == repr(second.duration)
+        assert np.array_equal(second.partitions[0], -np.ones((50, 4)))
+
+    def test_returned_arrays_cannot_corrupt_later_jobs(self, ctx):
+        data = np.arange(1000.0).reshape(250, 4)
+        m = ctx.parallelize(data).map_blocks(lambda b: b + 1, "inc")
+        sums = m.map_blocks(lambda b: b.sum(axis=0, keepdims=True), "cs")
+        single = ctx.parallelize(np.ones((50, 4))) \
+            .map_blocks(lambda b: b * 2, "one")
+        assert single.num_partitions == 1
+
+        def expected_state():
+            assert np.array_equal(ctx.collect(m), data + 1)
+            assert np.array_equal(ctx.reduce(sums, np.add),
+                                  (data + 1).sum(axis=0, keepdims=True))
+            assert np.array_equal(ctx.reduce(single, np.add),
+                                  np.full((50, 4), 2.0))
+
+        expected_state()
+        ctx.collect(m)[:] = -1
+        ctx.collect_async(m).value[:] = -1
+        ctx.reduce(sums, np.add)[:] = -1
+        ctx.reduce(single, np.add)[:] = -1
+        ctx.reduce_async(single, np.add).value[:] = -1
+        assert ctx.count(m) == 250
+        assert ctx.count_async(single).value == 50
+        expected_state()
+        for value in ctx.value_memo._lru.values():
+            assert not value.flags.writeable
+
+    def test_contexts_with_colliding_rdd_ids_share_nothing(self):
+        def build(scale):
+            reset_global_ids()
+            ctx = SparkContext(SparkConfig(block_size_rows=100), SimClock(),
+                               Stats())
+            rdd = ctx.parallelize(np.ones((250, 4)) * scale) \
+                .map_blocks(lambda b: b + scale, "m")
+            return ctx, rdd
+
+        ctx1, r1 = build(1.0)
+        ctx2, r2 = build(5.0)
+        assert r1.id == r2.id
+        for _ in range(2):
+            assert np.array_equal(ctx1.collect(r1), np.full((250, 4), 2.0))
+            assert np.array_equal(ctx2.collect(r2), np.full((250, 4), 10.0))
+        assert ctx1.value_memo.misses == ctx2.value_memo.misses == 3
+        # ids collide inside one context too once the counter rewinds
+        reset_global_ids()
+        r3 = ctx1.parallelize(np.ones((250, 4))).map_blocks(np.negative, "n")
+        assert r3.id == r1.id
+        assert np.array_equal(ctx1.collect(r3), np.full((250, 4), -1.0))
+        assert np.array_equal(ctx1.collect(r1), np.full((250, 4), 2.0))
