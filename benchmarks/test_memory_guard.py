@@ -271,10 +271,173 @@ def test_spark_job_costs_byte_identical(run):
     assert current["digest"] == recorded["digest"]
 
 
+# ---------------------------------------------------------------------------
+# Instrumented dispatch: with tracing, metrics and fault injection all live,
+# every instruction span, fault draw and metrics tick must land where it did
+# before.  The dispatch-equivalence suite only compares the fast loop with
+# the instrumented one; this pins the instrumented semantics themselves.
+
+INSTRUMENTED_BASELINE = pathlib.Path(__file__).parent / "baselines" / \
+    "dispatch_instrumented.json"
+
+#: loses cached intermediates at four instruction draws (seeded victims).
+INSTRUMENTED_FAULTS = "cache_lost@4;cache_lost@15,count=2;cache_lost@40;seed=7"
+
+
+def _quickstart_full():
+    """The quickstart grid search under MEMPHIS (FULL reuse; the 60k-row
+    input places the core operations on Spark)."""
+    import numpy as np
+
+    from repro import MemphisConfig, Session
+    from repro.ml import lin_reg_ds, lin_reg_predict, r2_score
+
+    rng = np.random.default_rng(42)
+    X_data = rng.random((60_000, 32))
+    beta_true = rng.standard_normal((32, 1))
+    y_data = X_data @ beta_true + 0.1 * rng.standard_normal((60_000, 1))
+    session = Session(MemphisConfig.memphis())
+    X = session.read(X_data, "X")
+    y = session.read(y_data, "y")
+    scores = []
+    for i in range(10):
+        beta = lin_reg_ds(session, X, y, 10.0 ** (i / 2 - 3))
+        score = r2_score(session, y, lin_reg_predict(session, X, beta))
+        scores.append(score.item())
+    return np.array(scores)
+
+
+def _cellwise_none():
+    """Straight-line ufunc chains under ReuseMode.NONE (the runs the fast
+    loop batch-dispatches)."""
+    import numpy as np
+
+    from repro import MemphisConfig, Session
+    from repro.common.config import ReuseMode
+
+    cfg = MemphisConfig.memphis()
+    cfg.reuse_mode = ReuseMode.NONE
+    session = Session(cfg)
+    data = (np.arange(64.0 * 64).reshape(64, 64) % 23.0) / 23.0 - 0.5
+    X = session.read(data, "X")
+    out = None
+    for _ in range(3):
+        out = (((X * 2.0) + 1.0).sigmoid() * 0.5).relu().compute()
+    return out
+
+
+def _fused_block():
+    """One block with compile-time fusion on: a matmul-prologue chain and
+    a plain cell-wise chain."""
+    import numpy as np
+
+    from repro import MemphisConfig, Session
+    from repro.common.config import ReuseMode
+
+    cfg = MemphisConfig.memphis()
+    cfg.reuse_mode = ReuseMode.NONE
+    cfg.enable_fusion = True
+    session = Session(cfg)
+    rng = np.random.default_rng(7)
+    A = session.read(rng.random((24, 16)), "A")
+    B = session.read(rng.random((16, 8)), "B")
+    X = session.read(rng.random((24, 8)) - 0.5, "X")
+    epilogue = ((A @ B) * 0.5).relu()
+    chain = (((X * 2.0) + 1.0).sigmoid() * 0.5).relu()
+    session.evaluate([epilogue, chain])
+    return np.vstack([session.compute(epilogue), session.compute(chain)])
+
+
+def _planned_spill_gpu():
+    """A cell-wise GPU chain on a 64 KiB device: the memory planner
+    schedules device-to-host spills the interpreter executes in-stream."""
+    import numpy as np
+
+    from repro import MemphisConfig, Session
+
+    cfg = MemphisConfig.memphis()
+    cfg.gpu_enabled = True
+    cfg.gpu.device_memory = 64 * 1024
+    cfg.memplan = True
+    cfg.memplan_enforce = True
+    cfg.memplan_spills = True
+    session = Session(cfg)
+    h = session.read(np.random.default_rng(3).random((50, 50)), "X")
+    for _ in range(10):
+        h = (h * 1.001 + 0.5).relu()
+    return session.compute(h)
+
+
+INSTRUMENTED_RUNS = {
+    "quickstart_full": _quickstart_full,
+    "cellwise_none": _cellwise_none,
+    "fused_block": _fused_block,
+    "planned_spill_gpu": _planned_spill_gpu,
+}
+
+
+def dispatch_instrumented(run) -> dict:
+    """``run()`` under tracing, per-instruction metrics sampling and a
+    seeded ``cache_lost`` plan: every instruction span (args, ``repr``
+    of start and duration), every fault inject/recover event, the merged
+    counters, the metrics digests and the output bytes (sha256)."""
+    import hashlib
+
+    from repro.faults.determinism import reset_global_ids
+    from repro.faults.plan import FaultPlan, install_plan, uninstall_plan
+    from repro.obs import (
+        MetricsCollector,
+        TraceCollector,
+        disable_metrics,
+        disable_tracing,
+        enable_metrics,
+        enable_tracing,
+    )
+    from repro.obs.events import EV_FAULT_INJECT, EV_FAULT_RECOVER, EV_INSTR
+
+    reset_global_ids()
+    tracer = enable_tracing(TraceCollector())
+    metrics = enable_metrics(MetricsCollector(interval=1))
+    install_plan(FaultPlan.parse(INSTRUMENTED_FAULTS))
+    try:
+        out = run()
+    finally:
+        uninstall_plan()
+        disable_metrics()
+        disable_tracing()
+    events = tracer.events()
+    spans = [[e.args, repr(e.ts), repr(e.dur)]
+             for e in events if e.name == EV_INSTR]
+    faults = [[e.name, e.args, repr(e.ts)] for e in events
+              if e.name in (EV_FAULT_INJECT, EV_FAULT_RECOVER)]
+    digests = {name: {k: repr(v) for k, v in digest.items()}
+               for name, digest in metrics.merged_digests().items()}
+    return {
+        "spans": spans,
+        "faults": faults,
+        "counters": dict(sorted(tracer.aggregate_stats().counters().items())),
+        "metrics": digests,
+        "output": hashlib.sha256(out.tobytes()).hexdigest(),
+    }
+
+
+@pytest.mark.parametrize("run", sorted(INSTRUMENTED_RUNS))
+def test_dispatch_instrumented_byte_identical(run):
+    if not INSTRUMENTED_BASELINE.exists():
+        pytest.skip(f"no recorded baseline at {INSTRUMENTED_BASELINE}")
+    recorded = json.loads(INSTRUMENTED_BASELINE.read_text())[run]
+    current = json.loads(json.dumps(
+        dispatch_instrumented(INSTRUMENTED_RUNS[run])))
+    for key in ("spans", "faults", "counters", "metrics", "output"):
+        assert current[key] == recorded[key], key
+
+
 BASELINES = {
     "cp_eviction_order": (EVICTION_BASELINE, EVICTION_RUNS,
                           cp_eviction_order),
     "spark_job_costs": (SPARK_BASELINE, SPARK_RUNS, spark_job_costs),
+    "dispatch_instrumented": (INSTRUMENTED_BASELINE, INSTRUMENTED_RUNS,
+                              dispatch_instrumented),
 }
 
 
@@ -283,6 +446,7 @@ if __name__ == "__main__":
     # to be right):
     #   python -m benchmarks.test_memory_guard cp_eviction_order
     #   python -m benchmarks.test_memory_guard spark_job_costs
+    #   python -m benchmarks.test_memory_guard dispatch_instrumented
     import sys
 
     if len(sys.argv) != 2 or sys.argv[1] not in BASELINES:

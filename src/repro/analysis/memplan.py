@@ -66,7 +66,7 @@ if TYPE_CHECKING:  # layering: runtime types are type-only imports here
 from repro.analysis.base import AnalysisContext, AnalysisPass, register_pass
 from repro.analysis.dataflow import StreamDefUse
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.common.config import MemphisConfig, ReuseMode
+from repro.common.config import CACHING_MODES, MemphisConfig, ReuseMode
 from repro.compiler.ir import KIND_DATA, KIND_LITERAL, KIND_OP, Hop
 from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP
 from repro.memory.budget import RegionBudget, region_capacities
@@ -190,12 +190,6 @@ class BlockMemPlan:
         return out
 
 
-def _put_enabled(mode: ReuseMode) -> bool:
-    """Mirror of ``Interpreter._put_enabled`` (kept in sync by tests)."""
-    return mode in (ReuseMode.FULL, ReuseMode.LOCAL_ONLY,
-                    ReuseMode.OPERATOR_ONLY)
-
-
 def plan_block(roots: list[Hop], order: list[Hop],
                config: MemphisConfig) -> BlockMemPlan:
     """Derive the per-region charge set and peak footprint of one block.
@@ -235,7 +229,7 @@ def plan_block(roots: list[Hop], order: list[Hop],
     """
     budgets = region_capacities(config)
     mode = config.reuse_mode
-    put_on = _put_enabled(mode)
+    put_on = mode in CACHING_MODES
     multi = put_on and mode is not ReuseMode.LOCAL_ONLY
     func_reuse = mode in (ReuseMode.FULL, ReuseMode.COARSE_ONLY)
     alignment = config.gpu.alignment

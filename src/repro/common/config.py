@@ -34,6 +34,18 @@ class ReuseMode(enum.Enum):
     OPERATOR_ONLY = "fine"  #: MPH-F — fine-grained only, no function reuse.
 
 
+#: modes whose interpreter issues REUSE probes (ablation axis, §6.2).
+PROBING_MODES = frozenset({
+    ReuseMode.PROBE_ONLY, ReuseMode.FULL,
+    ReuseMode.LOCAL_ONLY, ReuseMode.OPERATOR_ONLY,
+})
+
+#: modes whose PUT stage offers results to the lineage cache (§6.2).
+CACHING_MODES = frozenset({
+    ReuseMode.FULL, ReuseMode.LOCAL_ONLY, ReuseMode.OPERATOR_ONLY,
+})
+
+
 class EvictionPolicyName(enum.Enum):
     """Cache eviction policy selector (Eq. 1 plus ablation baselines)."""
 

@@ -42,7 +42,7 @@ from repro.backends.gpu.backend import GpuBackend, GpuData
 from repro.backends.gpu.memmanager import MODE_MALLOC, MODE_MEMPHIS, MODE_POOL
 from repro.backends.spark.backend import SparkBackend
 from repro.backends.spark.context import SparkContext
-from repro.common.config import MemphisConfig, ReuseMode
+from repro.common.config import MemphisConfig, PROBING_MODES, ReuseMode
 from repro.common.errors import RecomputationError, VerificationError
 from repro.common.simclock import HOST, SimClock
 from repro.common.stats import (
@@ -565,7 +565,7 @@ class Session:
         if BACKEND_CP not in handle.payloads and handle.lineage is not None:
             entry = (
                 self.cache.probe(handle.lineage)
-                if self.interpreter._probe_enabled(self.config.reuse_mode)
+                if self.config.reuse_mode in PROBING_MODES
                 else self.cache.get_entry(handle.lineage)
             )
             if entry is not None and BACKEND_CP in entry.payloads:

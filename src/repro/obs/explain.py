@@ -29,6 +29,7 @@ import contextlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
+from repro.common.config import PROBING_MODES
 from repro.compiler.ir import KIND_OP, Hop
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -129,7 +130,7 @@ class ExplainPlan:
 def snapshot_plan(root_hops: Sequence[Hop], order: Sequence[Hop],
                   config: "MemphisConfig") -> ExplainPlan:
     """Snapshot a compiled block right before execution."""
-    probing = _probing_enabled(config)
+    probing = config.reuse_mode in PROBING_MODES
     snaps = []
     for hop in order:
         snaps.append(HopSnapshot(
@@ -154,16 +155,6 @@ def snapshot_plan(root_hops: Sequence[Hop], order: Sequence[Hop],
             ),
         ))
     return ExplainPlan(tuple(h.id for h in root_hops), snaps)
-
-
-def _probing_enabled(config: "MemphisConfig") -> bool:
-    """Whether the interpreter will issue reuse probes for this config."""
-    from repro.common.config import ReuseMode
-
-    return config.reuse_mode in (
-        ReuseMode.PROBE_ONLY, ReuseMode.FULL,
-        ReuseMode.LOCAL_ONLY, ReuseMode.OPERATOR_ONLY,
-    )
 
 
 # -- rendering ---------------------------------------------------------------

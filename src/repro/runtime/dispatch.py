@@ -1,29 +1,31 @@
-"""Specialized instruction-dispatch loops for the interpreter hot path.
+"""The interpreter's one instruction-dispatch loop (paper Fig. 4).
 
-The interpreter's main loop (paper Fig. 4) is wrapped in three
-observability layers — tracer spans, metrics sampling, fault-injection
-draws — each guarded by an ``enabled`` attribute check *per
-instruction*.  All three flags are fixed when the session is
-constructed (``NULL_TRACER`` / ``NULL_METRICS`` / ``NULL_INJECTOR`` are
-installed once, see docs/ARCHITECTURE.md "Zero overhead when
-disabled"), so the checks are loop-invariant.  This module hoists the
-branch to loop-selection time:
+:func:`_dispatch` runs the stage sequence once per instruction —
+TRACE (inlined, with the session's lineage interner), REUSE probe,
+EXECUTE, checkpoint, prefetch/broadcast, PUT — calling back into the
+``Interpreter`` stage methods, and executes memory-plan spills at
+their scheduled stream positions.  Three observability layers hook
+into it — fault-injection draws, tracer spans, metrics ticks — each
+behind an ``enabled`` flag fixed when the session is constructed
+(``NULL_TRACER`` / ``NULL_METRICS`` / ``NULL_INJECTOR``, see
+docs/ARCHITECTURE.md "Zero overhead when disabled"), so the guards are
+folded into three run-start locals.  :func:`select_loop` picks the
+entry point per run:
 
-* :func:`run_instrumented` — the fully-guarded loop, chosen whenever
-  any of tracing, metrics, or fault injection is live.  Byte-identical
-  to the historical per-instruction path.
-* :func:`run_fast` — chosen when all three are disabled.  The dead
-  guard branches are simply absent; TRACE is inlined with the
-  session's lineage interner; and, when reuse probes/puts are also off
-  (``ReuseMode.NONE``), maximal runs of cell-wise instructions with no
-  intervening control flow are batch-dispatched through the vectorized
-  ufunc-chain layer (``repro.backends.cpu.vectorized``).
+* :func:`run_instrumented` — whenever any of tracing, metrics, or
+  fault injection is live;
+* :func:`run_fast` — when all three are disabled.  The hooks never
+  run, and when reuse probes/puts are also off (``ReuseMode.NONE``)
+  maximal runs of cell-wise instructions with no intervening control
+  flow are batch-dispatched through the vectorized ufunc-chain layer
+  (``repro.backends.cpu.vectorized``).
 
-Both loops produce bit-identical results, stats counters, and simulated
-clock readings — ``tests/test_dispatch_equivalence.py`` asserts this on
-the quickstart and fig12 workloads.  The fast path changes only *real*
-wall-clock cost, which the ``BENCH_wallclock`` telemetry track measures
-(docs/PERFORMANCE.md).
+Both produce bit-identical results, stats counters, and simulated
+clock readings — ``tests/test_dispatch_equivalence.py`` asserts this,
+and ``benchmarks/baselines/dispatch_instrumented.json`` pins the
+instrumented hooks' placement.  The fast path changes only *real*
+wall-clock cost, which the ``BENCH_wallclock`` telemetry track
+measures (docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -31,13 +33,14 @@ from __future__ import annotations
 from typing import Optional, TYPE_CHECKING
 
 from repro.backends.cpu.vectorized import CompiledStep, compile_step
-from repro.common.config import ReuseMode
+from repro.common.config import CACHING_MODES, PROBING_MODES, ReuseMode
 from repro.compiler.rewrites.fusion import FUSED_OPCODE
 from repro.common.simclock import HOST, SimFuture
 from repro.common.stats import CHECKPOINTS_PLACED, LINEAGE_TRACED
 from repro.compiler.ir import KIND_DATA, KIND_LITERAL, Hop
 from repro.core.entry import BACKEND_CP, BACKEND_SP
 from repro.lineage.item import LineageItem, literal
+from repro.obs.events import EV_INSTR, LANE_CP
 from repro.runtime.values import ScalarValue
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -102,49 +105,47 @@ def select_loop(interp: "Interpreter"):
 
 
 def run_instrumented(interp: "Interpreter", order: list[Hop],
-                     env: dict[int, Slot], acquired: list) -> None:
-    """Fully-guarded loop: per-instruction tracing/metrics/fault hooks."""
-    metrics = interp.metrics
-    session = interp.session
-    execute_one = interp._execute_one
-    tick = metrics.enabled
-    for hop in order:
-        env[hop.id] = execute_one(hop, env, acquired)
-        if tick:
-            # time-series sampling hook (repro.obs.metrics): reads
-            # region ledgers and counters every N instructions; never
-            # advances the sim clock, so metered runs stay identical
-            metrics.tick(session)
+                     env: dict[int, Slot], acquired: list,
+                     spills: Optional[dict[int, list]] = None) -> None:
+    """Run :func:`_dispatch` with the live observability hooks."""
+    _dispatch(interp, order, env, acquired, spills, True)
 
 
 def run_fast(interp: "Interpreter", order: list[Hop],
-             env: dict[int, Slot], acquired: list) -> None:
-    """Specialized loop for sessions with obs + faults disabled.
+             env: dict[int, Slot], acquired: list,
+             spills: Optional[dict[int, list]] = None) -> None:
+    """Run :func:`_dispatch` with every observability hook folded away."""
+    _dispatch(interp, order, env, acquired, spills, False)
 
-    Semantics are those of :func:`run_instrumented` with every
-    ``enabled`` branch constant-folded to ``False``: same TRACE clock
-    charge and counter, same probe/execute/put sequence, same payloads.
-    Loop-invariant lookups (config, clock, interner) are hoisted out of
-    the instruction loop, and eligible cell-wise runs are batched
-    through :func:`_run_chain`.
+
+def _dispatch(interp: "Interpreter", order: list[Hop],
+              env: dict[int, Slot], acquired: list,
+              spills: Optional[dict[int, list]],
+              instrumented: bool) -> None:
+    """The Fig. 4 loop: TRACE, REUSE, EXECUTE and PUT per instruction.
+
+    ``spills`` maps stream positions to compile-time spill points
+    (``repro.analysis.memplan``), each executed before the instruction
+    at its position.  The observability hooks — the fault-injection
+    draw before each op instruction or fused chain, the ``EV_INSTR``
+    span around REUSE…PUT, and the metrics tick after every hop — run
+    only when ``instrumented`` and their layer is enabled; the guards
+    are fixed at run start.  Loop-invariant lookups (config, clock,
+    interner) are hoisted, and an uninstrumented ``ReuseMode.NONE``
+    run without spills batches eligible cell-wise runs through
+    :func:`_run_chain`.
     """
     config = interp.config
     mode = config.reuse_mode
     trace_on = mode is not ReuseMode.NONE
     clock = interp.clock
     stats = interp.stats
+    session = interp.session
     intern = interp.interner.intern
     data_slot = interp._data_slot
     trace_overhead = config.cpu.trace_overhead_s
-
-    # REUSE/EXECUTE/PUT enablement is a pure function of the (fixed)
-    # reuse mode, so the per-instruction ``_probe_enabled``/
-    # ``_put_enabled`` calls of ``Interpreter._reuse_or_execute`` are
-    # hoisted here and the stage sequence is inlined below — same
-    # probes, same clock charges, same admission calls, minus three
-    # method frames per instruction.
-    probe_on = interp._probe_enabled(mode)
-    put_on = interp._put_enabled(mode)
+    probe_on = mode in PROBING_MODES
+    put_on = mode in CACHING_MODES
     local_only = mode is ReuseMode.LOCAL_ONLY
     probe_overhead = config.cpu.probe_overhead_s
     cache_probe = interp.cache.probe
@@ -152,18 +153,33 @@ def run_fast(interp: "Interpreter", order: list[Hop],
     exec_cpu = interp._exec_cpu
     exec_spark = interp._exec_spark
     exec_gpu = interp._exec_gpu
+    exec_fused = interp._exec_fused
     put = interp._put
     enable_async = config.enable_async_ops
 
+    tracer = interp.tracer
+    faults = interp.faults
+    metrics = interp.metrics
+    traced = instrumented and tracer.enabled
+    faulting = instrumented and faults.enabled
+    ticking = instrumented and metrics.enabled
+
     # batch dispatch requires probe *and* put disabled: a chain's
     # interior values are never probed for or admitted to the cache,
-    # which is exactly the ReuseMode.NONE contract.
-    chains = plan_chains(order) if mode is ReuseMode.NONE else None
+    # which is exactly the ReuseMode.NONE contract.  Instrumented runs
+    # keep one span, draw and tick per instruction, and spill positions
+    # must not fall inside a batch, so both stay per-instruction.
+    chains = plan_chains(order) if (
+        mode is ReuseMode.NONE and not instrumented and not spills
+    ) else None
 
     i = 0
     n = len(order)
     while i < n:
         hop = order[i]
+        if spills:
+            for spill in spills.get(i, ()):
+                interp._planned_spill(spill, env, acquired)
         if chains is not None:
             chain = chains.get(hop.id)
             if chain is not None:
@@ -179,7 +195,14 @@ def run_fast(interp: "Interpreter", order: list[Hop],
         elif hop.opcode == FUSED_OPCODE:
             # fused cell-wise chain (compile-time fusion rewrite):
             # TRACE + single-instruction EXECUTE, never probed or put
-            slot = interp._exec_fused(hop, env)
+            if faulting:
+                faults.lost_cache_entries(session)
+            if traced:
+                with tracer.span(EV_INSTR, LANE_CP, opcode=hop.opcode,
+                                 hop=hop.id, backend=BACKEND_CP):
+                    slot = exec_fused(hop, env)
+            else:
+                slot = exec_fused(hop, env)
         else:
             # TRACE (Fig. 4): intern the lineage item for this hop
             in_slots = [env[h.id] for h in hop.inputs]
@@ -197,42 +220,65 @@ def run_fast(interp: "Interpreter", order: list[Hop],
                 # transpose fused into tsmm/cpmm: pass through the input
                 slot.fused_from = in_slots[0]
             else:
-                # REUSE probe (LIMA traces/reuses only local CPU
-                # instructions in LOCAL_ONLY mode)
+                # fault-injection draw point: each op instruction may
+                # lose cached intermediates, exercising recompute-from-
+                # lineage downstream
+                if faulting:
+                    faults.lost_cache_entries(session)
                 placement = hop.placement
-                if probe_on and (not local_only
-                                 or placement == BACKEND_CP):
-                    clock.advance(probe_overhead, HOST)
-                    entry = cache_probe(item)
+                # the instruction span covers REUSE…PUT, so every
+                # cache/backend event emitted underneath carries this
+                # instruction's label (opcode#hop) for attribution;
+                # entered by hand so the untraced path pays no context
+                # manager per instruction
+                span = tracer.span(
+                    EV_INSTR, LANE_CP, opcode=hop.opcode, hop=hop.id,
+                    backend=placement or BACKEND_CP, lineage=item.id,
+                ).__enter__() if traced else None
+                try:
+                    # REUSE probe (LIMA traces/reuses only local CPU
+                    # instructions in LOCAL_ONLY mode)
+                    entry = None
+                    if probe_on and (not local_only
+                                     or placement == BACKEND_CP):
+                        clock.advance(probe_overhead, HOST)
+                        entry = cache_probe(item)
                     if entry is not None:
                         apply_reuse(hop, slot, entry)
-                        env[hop.id] = slot
-                        i += 1
-                        continue
-                # EXECUTE
-                backend = placement or BACKEND_CP
-                if backend == BACKEND_CP:
-                    exec_cpu(hop, slot, in_slots)
-                elif backend == BACKEND_SP:
-                    exec_spark(hop, slot, in_slots)
-                else:
-                    exec_gpu(hop, slot, in_slots, acquired)
-                # compiler-placed RDD checkpoint (§5.2)
-                if hop.checkpoint and BACKEND_SP in slot.payloads:
-                    dm = slot.payloads[BACKEND_SP]
-                    if not dm.rdd.is_persisted:
-                        dm.rdd.persist(
-                            interp.session.spark_mgr.storage_level)
-                        stats.inc(CHECKPOINTS_PLACED)
-                # asynchronous prefetch / broadcast (§5.1)
-                if hop.prefetch and enable_async:
-                    interp._issue_prefetch(hop, slot)
-                if hop.async_broadcast and BACKEND_CP in slot.payloads:
-                    interp._issue_broadcast(slot)
-                # PUT
-                if put_on:
-                    put(hop, slot)
+                    else:
+                        # EXECUTE
+                        backend = placement or BACKEND_CP
+                        if backend == BACKEND_CP:
+                            exec_cpu(hop, slot, in_slots)
+                        elif backend == BACKEND_SP:
+                            exec_spark(hop, slot, in_slots)
+                        else:
+                            exec_gpu(hop, slot, in_slots, acquired)
+                        # compiler-placed RDD checkpoint (§5.2)
+                        if hop.checkpoint and BACKEND_SP in slot.payloads:
+                            dm = slot.payloads[BACKEND_SP]
+                            if not dm.rdd.is_persisted:
+                                dm.rdd.persist(
+                                    session.spark_mgr.storage_level)
+                                stats.inc(CHECKPOINTS_PLACED)
+                        # asynchronous prefetch / broadcast (§5.1)
+                        if hop.prefetch and enable_async:
+                            interp._issue_prefetch(hop, slot)
+                        if hop.async_broadcast \
+                                and BACKEND_CP in slot.payloads:
+                            interp._issue_broadcast(slot)
+                        # PUT
+                        if put_on:
+                            put(hop, slot)
+                finally:
+                    if span is not None:
+                        span.__exit__(None, None, None)
         env[hop.id] = slot
+        if ticking:
+            # time-series sampling hook (repro.obs.metrics): reads
+            # region ledgers and counters every N instructions; never
+            # advances the sim clock, so metered runs stay identical
+            metrics.tick(session)
         i += 1
 
 
@@ -303,16 +349,28 @@ def _run_chain(interp: "Interpreter", chain: Chain,
     src_slot = env[chain.source_id]
     value = interp._to_cp(src_slot)
     outs = interp.session.cpu.execute_chain(chain.steps, value)
-    prev = src_slot
+    prev = src_slot.lineage
     for step, out in zip(chain.steps, outs):
-        hop = step.hop
-        if step.scalar_index is None:
-            inputs = (prev.lineage,)
-        elif step.scalar_index == 0:
-            inputs = (env[hop.inputs[0].id].lineage, prev.lineage)
-        else:
-            inputs = (prev.lineage, env[hop.inputs[1].id].lineage)
-        slot = Slot(intern(hop.opcode, (), inputs))
+        prev = _step_lineage(intern, step, env, prev)
+        slot = Slot(prev)
         slot.payloads[BACKEND_CP] = out
-        env[hop.id] = slot
-        prev = slot
+        env[step.hop.id] = slot
+
+
+def _step_lineage(intern, step: CompiledStep, env: dict[int, Slot],
+                 prev: LineageItem) -> LineageItem:
+    """Intern one cell-wise chain step's lineage item.
+
+    ``prev`` is the item of the step's matrix operand (the previous
+    step, or the chain's source); a scalar operand keeps its side, so
+    batched and fused chains intern exactly the items the
+    per-instruction path builds.
+    """
+    hop = step.hop
+    if step.scalar_index is None:
+        inputs = (prev,)
+    elif step.scalar_index == 0:
+        inputs = (env[hop.inputs[0].id].lineage, prev)
+    else:
+        inputs = (prev, env[hop.inputs[1].id].lineage)
+    return intern(hop.opcode, (), inputs)

@@ -13,28 +13,28 @@ and handles all inter-backend data exchange (collect, broadcast,
 parallelize, H2D/D2H), asynchronous prefetch futures, checkpoint
 persisting, and GPU pointer lifetimes.
 
-Stage map (MEMPHIS paper section -> code):
+The loop itself — one body, in ``repro.runtime.dispatch._dispatch`` —
+does TRACE inline and calls back into the stage methods here.  Stage
+map (MEMPHIS paper section -> code):
 
-* **TRACE** (§3.2, fine-grained lineage): :meth:`Interpreter._trace` —
-  interned lineage-item construction plus the per-instruction tracing
-  overhead charge the paper measures in Fig. 2(c).
-* **REUSE** (§4.1, probe + multi-backend hit application):
-  :meth:`Interpreter._probe` / :meth:`Interpreter._apply_reuse`.
+* **TRACE** (§3.2, fine-grained lineage): interned lineage-item
+  construction plus the per-instruction tracing overhead charge the
+  paper measures in Fig. 2(c), inline in ``_dispatch`` (fused chains:
+  :meth:`Interpreter._exec_fused`).
+* **REUSE** (§4.1, probe + multi-backend hit application): the probe
+  charge and ``LineageCache.probe`` in ``_dispatch``, then
+  :meth:`Interpreter._apply_reuse`.
 * **EXECUTE** (Table 2 operator set): ``_exec_cpu`` / ``_exec_gpu`` /
   ``_exec_spark`` plus the exchange helpers (``_to_cp`` et al.)
   implementing the paper's collect/broadcast/H2D/D2H edges.
 * **PUT** (§4.2, admission with delayed caching):
   :meth:`Interpreter._put`.
 * Async rewrites (§5.1): ``_issue_prefetch`` / ``_issue_broadcast``;
-  checkpoints (§5.2) persist inside :meth:`_reuse_or_execute`.
+  checkpoints (§5.2) persist in ``_dispatch`` right after EXECUTE;
+  memory-plan spills run through :meth:`Interpreter._planned_spill`.
 
-The per-instruction loop itself lives in ``repro.runtime.dispatch``,
-which specializes it at run start: a fully-guarded instrumented loop
-when tracing/metrics/faults are live, and a fast loop — with the
-disabled-layer guards constant-folded away and cell-wise runs batched
-through the vectorized CPU layer — when they are not.  Both loops call
-back into the stage methods above; docs/PERFORMANCE.md covers the
-architecture and the wall-clock benchmarks gating it.
+docs/PERFORMANCE.md covers the dispatch loop and the wall-clock
+benchmarks gating it.
 """
 
 from __future__ import annotations
@@ -46,11 +46,10 @@ import numpy as np
 from repro.backends.gpu.backend import GpuData
 from repro.backends.spark.backend import DistributedMatrix
 from repro.backends.spark.broadcast import Broadcast
-from repro.common.config import ReuseMode
+from repro.common.config import CACHING_MODES, ReuseMode
 from repro.common.errors import PlacementError
 from repro.common.simclock import HOST, SimFuture
 from repro.common.stats import (
-    CHECKPOINTS_PLACED,
     FAULT_LINEAGE_RECOMPUTES,
     INSTRUCTIONS_SKIPPED,
     LINEAGE_TRACED,
@@ -60,25 +59,28 @@ from repro.common.stats import (
     SPARK_ACTION_REUSE,
 )
 from repro.faults.plan import KIND_CACHE_LOST
-from repro.compiler.ir import KIND_DATA, KIND_LITERAL, KIND_OP, Hop
-from repro.compiler.rewrites.fusion import FUSED_OPCODE
+from repro.compiler.ir import Hop
 from repro.core.entry import (
     BACKEND_CP,
     BACKEND_GPU,
     BACKEND_SP,
     CacheEntry,
 )
-from repro.lineage.item import LineageItem, dataset, literal
+from repro.lineage.item import dataset
 from repro.obs.events import (
     EV_BROADCAST,
-    EV_INSTR,
     EV_MEMPLAN_SPILL,
     EV_PREFETCH,
     EV_PREFETCH_DONE,
     LANE_CP,
     LANE_GPU,
 )
-from repro.runtime.dispatch import Slot, _attr_data, select_loop
+from repro.runtime.dispatch import (
+    Slot,
+    _attr_data,
+    _step_lineage,
+    select_loop,
+)
 from repro.runtime.placement import (
     SPARK_AGG_ACTION,
     SPARK_AGG_MAP,
@@ -125,40 +127,38 @@ class Interpreter:
         cache-hit reuses) each hold one reference; the session binds
         surviving handles (adding their own references) and then calls
         :meth:`release_acquired` to drop the execution references, moving
-        unreferenced pointers to the Free list (Fig. 8(b)).
+        unreferenced pointers to the Free list (Fig. 8(b)).  A run that
+        raises releases its own references before re-raising.
 
         ``planned_spills`` maps stream positions to the compile-time
         spill points the static memory planner scheduled for this block
         (``repro.analysis.memplan``); each is executed *before* the
         instruction at its position, freeing device memory a block that
-        over-peaks the GPU budget needs to stay feasible.  ``None`` (the
-        overwhelmingly common case — any block whose plan fits its
-        budgets) keeps the specialized dispatch loops untouched.
+        over-peaks the GPU budget needs to stay feasible.
         """
         env: dict[int, Slot] = {}
         acquired: list[GpuData] = []
         self._acquired_stack.append(acquired)
-        if planned_spills:
-            self._run_with_spills(order, env, acquired, planned_spills)
-            return env
-        # dispatch specialization: pick the fast or instrumented loop
-        # once per run instead of re-checking tracer/metrics/faults
-        # guards on every instruction (see repro.runtime.dispatch)
-        loop = select_loop(self)
-        loop(self, order, env, acquired)
+        try:
+            if planned_spills:
+                self._run_with_spills(order, env, acquired, planned_spills)
+            else:
+                # dispatch specialization: pick the fast or instrumented
+                # entry point once per run (see repro.runtime.dispatch)
+                select_loop(self)(self, order, env, acquired)
+        except BaseException:
+            # Session.evaluate never reaches release_acquired for a
+            # failed run, so pop this run's list here
+            if self._acquired_stack and self._acquired_stack[-1] is acquired:
+                self.release_acquired()
+            raise
         return env
 
     def _run_with_spills(self, order: list[Hop], env: dict[int, Slot],
                          acquired: list[GpuData],
                          planned_spills: dict[int, list]) -> None:
-        """Instrumented-equivalent loop honouring pre-scheduled spills."""
-        tick = self.metrics.enabled
-        for pos, hop in enumerate(order):
-            for spill in planned_spills.get(pos, ()):
-                self._planned_spill(spill, env, acquired)
-            env[hop.id] = self._execute_one(hop, env, acquired)
-            if tick:
-                self.metrics.tick(self.session)
+        """Run a block whose memory plan scheduled spills."""
+        select_loop(self)(self, order, env, acquired, planned_spills)
 
     def _planned_spill(self, spill, env: dict[int, Slot],
                        acquired: list[GpuData]) -> None:
@@ -200,114 +200,7 @@ class Interpreter:
             if not data.ptr.freed:
                 self.session.gpu.memory.release(data.ptr)
 
-    # --------------------------------------------------------------- per instruction
-
-    def _execute_one(self, hop: Hop, env: dict[int, Slot],
-                     gpu_created: list[GpuData]) -> Slot:
-        """One Fig. 4 iteration on the instrumented path.
-
-        Stages, in order: leaf binding (literals / data hops), TRACE
-        (§3.2), the fault-injection draw point, and — under the
-        instruction's tracer span — REUSE / EXECUTE / PUT via
-        :meth:`_reuse_or_execute`.  The fast dispatch loop
-        (``repro.runtime.dispatch.run_fast``) inlines the same stages
-        with the disabled observability branches removed.
-        """
-        mode = self.config.reuse_mode
-
-        if hop.kind == KIND_LITERAL:
-            slot = Slot(literal(hop.value))
-            slot.payloads[BACKEND_CP] = ScalarValue(hop.value)
-            return slot
-
-        if hop.kind == KIND_DATA:
-            return self._data_slot(hop)
-
-        if hop.opcode == FUSED_OPCODE:
-            # fused cell-wise chain (repro.compiler.rewrites.fusion):
-            # TRACE + EXECUTE happen inside _exec_fused; fused chains
-            # never probe or put (fusion only fires in modes without
-            # retention, enforced by the FUS analysis rules)
-            if self.faults.enabled:
-                self.faults.lost_cache_entries(self.session)
-            if self.tracer.enabled:
-                with self.tracer.span(
-                    EV_INSTR, LANE_CP,
-                    opcode=hop.opcode, hop=hop.id, backend=BACKEND_CP,
-                ):
-                    return self._exec_fused(hop, env)
-            return self._exec_fused(hop, env)
-
-        # TRACE
-        in_slots = [env[h.id] for h in hop.inputs]
-        item = self._trace(hop, in_slots)
-        slot = Slot(item)
-
-        if hop.fused:
-            # transpose fused into tsmm/cpmm: pass through the input slot
-            slot.fused_from = in_slots[0]
-            return slot
-
-        # fault-injection draw point: each op instruction may lose cached
-        # intermediates, exercising recompute-from-lineage downstream
-        if self.faults.enabled:
-            self.faults.lost_cache_entries(self.session)
-
-        # the instruction span covers REUSE + EXECUTE + PUT on the driver
-        # lane, so every cache/backend event emitted underneath carries
-        # this instruction's label (opcode#hop) for attribution
-        if self.tracer.enabled:
-            with self.tracer.span(
-                EV_INSTR, LANE_CP,
-                opcode=hop.opcode, hop=hop.id,
-                backend=hop.placement or BACKEND_CP, lineage=item.id,
-            ):
-                self._reuse_or_execute(hop, slot, in_slots, gpu_created, mode)
-        else:
-            self._reuse_or_execute(hop, slot, in_slots, gpu_created, mode)
-        return slot
-
-    def _reuse_or_execute(self, hop: Hop, slot: Slot, in_slots: list[Slot],
-                          gpu_created: list[GpuData],
-                          mode: ReuseMode) -> None:
-        """REUSE probe, backend execution, async rewrites, and PUT."""
-        # REUSE (LIMA traces and reuses only local CPU instructions)
-        local_only_skip = (
-            mode is ReuseMode.LOCAL_ONLY and hop.placement != BACKEND_CP
-        )
-        if self._probe_enabled(mode) and not local_only_skip:
-            entry = self._probe(hop, slot.lineage)
-            if entry is not None:
-                self._apply_reuse(hop, slot, entry)
-                return
-
-        # EXECUTE
-        backend = hop.placement or BACKEND_CP
-        if backend == BACKEND_SP:
-            self._exec_spark(hop, slot, in_slots)
-        elif backend == BACKEND_GPU:
-            self._exec_gpu(hop, slot, in_slots, gpu_created)
-        else:
-            self._exec_cpu(hop, slot, in_slots)
-
-        # compiler-placed RDD checkpoint (§5.2)
-        if hop.checkpoint and BACKEND_SP in slot.payloads:
-            dm: DistributedMatrix = slot.payloads[BACKEND_SP]
-            if not dm.rdd.is_persisted:
-                dm.rdd.persist(self.session.spark_mgr.storage_level)
-                self.stats.inc(CHECKPOINTS_PLACED)
-
-        # asynchronous prefetch of remote results (§5.1)
-        if hop.prefetch and self.config.enable_async_ops:
-            self._issue_prefetch(hop, slot)
-
-        # asynchronous broadcast of local results (§5.1)
-        if hop.async_broadcast and BACKEND_CP in slot.payloads:
-            self._issue_broadcast(slot)
-
-        # PUT
-        if self._put_enabled(mode):
-            self._put(hop, slot)
+    # ------------------------------------------------------------------ fused chains
 
     def _exec_fused(self, hop: Hop, env: dict[int, Slot]) -> Slot:
         """TRACE + EXECUTE one fused chain as a single instruction.
@@ -322,84 +215,29 @@ class Interpreter:
         is only planned in reuse modes with no retention.
         """
         intern = self.interner.intern
-        traced = 0
-        if hop.prologue is not None:
-            pro = hop.prologue
-            pro_inputs = tuple(env[h.id].lineage for h in pro.inputs)
+        pro = hop.prologue
+        if pro is not None:
             prev_item = intern(
                 pro.opcode, _attr_data(pro.attrs) if pro.attrs else (),
-                pro_inputs,
+                tuple(env[h.id].lineage for h in pro.inputs),
             )
-            traced += 1
             values = [self._to_cp(env[h.id]) for h in hop.inputs[:2]]
         else:
             src_slot = env[hop.inputs[0].id]
             prev_item = src_slot.lineage
             values = [self._to_cp(src_slot)]
         for step in hop.steps:
-            shop = step.hop
-            if step.scalar_index is None:
-                inputs = (prev_item,)
-            elif step.scalar_index == 0:
-                inputs = (env[shop.inputs[0].id].lineage, prev_item)
-            else:
-                inputs = (prev_item, env[shop.inputs[1].id].lineage)
-            prev_item = intern(shop.opcode, (), inputs)
-            traced += 1
+            prev_item = _step_lineage(intern, step, env, prev_item)
         if self.config.reuse_mode is not ReuseMode.NONE:
             self.clock.advance(self.config.cpu.trace_overhead_s, HOST)
-            self.stats.inc(LINEAGE_TRACED, traced)
+            self.stats.inc(LINEAGE_TRACED,
+                           len(hop.steps) + (pro is not None))
         out = self.session.cpu.execute_fused(hop, values)
         slot = Slot(prev_item)
         slot.payloads[BACKEND_CP] = out
         return slot
 
-    # ----------------------------------------------------------------- trace / reuse
-
-    def _trace(self, hop: Hop, in_slots: list[Slot]) -> LineageItem:
-        """TRACE stage (paper §3.2): build the instruction's lineage item.
-
-        Items are *interned* through the session's hash-consing table,
-        so re-traced instructions (every iteration of a loop re-traces
-        the same expression) return the canonical object and later
-        cache probes compare by identity.  When lineage is active
-        (every mode but NONE) the paper's per-instruction tracing
-        overhead is charged to the host timeline — the cost Fig. 2(c)
-        bounds at ~5% end-to-end.
-        """
-        mode = self.config.reuse_mode
-        inputs = tuple(s.lineage for s in in_slots)
-        attrs = hop.attrs
-        item = self.interner.intern(
-            hop.opcode, _attr_data(attrs) if attrs else (), inputs
-        )
-        if mode is not ReuseMode.NONE:
-            self.clock.advance(self.config.cpu.trace_overhead_s, HOST)
-            self.stats.inc(LINEAGE_TRACED)
-        return item
-
-    def _probe_enabled(self, mode: ReuseMode) -> bool:
-        """Whether REUSE probes run in ``mode`` (ablation axis, §6.2)."""
-        return mode in (
-            ReuseMode.PROBE_ONLY, ReuseMode.FULL,
-            ReuseMode.LOCAL_ONLY, ReuseMode.OPERATOR_ONLY,
-        )
-
-    def _put_enabled(self, mode: ReuseMode) -> bool:
-        """Whether PUT admission runs in ``mode`` (ablation axis, §6.2)."""
-        return mode in (
-            ReuseMode.FULL, ReuseMode.LOCAL_ONLY, ReuseMode.OPERATOR_ONLY,
-        )
-
-    def _probe(self, hop: Hop, item: LineageItem) -> Optional[CacheEntry]:
-        """REUSE probe (§4.1): look the lineage key up in the cache.
-
-        Charges the constant probe overhead to the host timeline;
-        interned keys make the dictionary lookup an identity comparison
-        for re-traced instructions.
-        """
-        self.clock.advance(self.config.cpu.probe_overhead_s, HOST)
-        return self.cache.probe(item)
+    # ------------------------------------------------------------------------ reuse
 
     def _apply_reuse(self, hop: Hop, slot: Slot, entry: CacheEntry) -> None:
         """Bind a cache hit: skip the instruction entirely."""
@@ -538,7 +376,7 @@ class Interpreter:
         collected results of distributed operations are not cached there.
         """
         mode = self.config.reuse_mode
-        if not self._put_enabled(mode) or mode is ReuseMode.LOCAL_ONLY:
+        if mode not in CACHING_MODES or mode is ReuseMode.LOCAL_ONLY:
             return
         entry = self.cache.get_entry(slot.lineage)
         if entry is not None and entry.is_cached:

@@ -4,9 +4,9 @@ The interpreter selects one of two dispatch loops per run
 (:func:`repro.runtime.dispatch.select_loop`): ``run_fast`` when
 tracing, metrics, and fault injection are all disabled, otherwise the
 fully-guarded ``run_instrumented``.  The contract — asserted here on
-the quickstart and Fig. 12(b) workloads — is that both loops produce
-**byte-identical** results, identical stats counters, and identical
-simulated-clock readings.  The fast path may only change real
+the quickstart, cell-wise chain, planned-spill and Fig. 12(b)
+workloads — is that both loops produce **byte-identical** results,
+identical stats counters, and identical simulated-clock readings.  The fast path may only change real
 wall-clock cost (measured by the ``BENCH_wallclock`` track, see
 docs/PERFORMANCE.md), never a single observable value.
 
@@ -28,6 +28,7 @@ import pytest
 
 from repro import MemphisConfig, Session
 from repro.common.config import ReuseMode
+from repro.common.stats import MEMPLAN_SPILLS_EXECUTED
 from repro.faults import FaultPlan, reset_global_ids
 from repro.obs import MetricsCollector, disable_metrics, enable_metrics
 from repro.runtime.dispatch import run_fast, run_instrumented, select_loop
@@ -93,6 +94,25 @@ def _cellwise(config: MemphisConfig, iters: int = 3):
     return out, session.stats.counters(), dict(session.clock.timelines)
 
 
+def _spill_chain(config: MemphisConfig, links: int = 10):
+    """A cell-wise GPU chain on a 64 KiB device, whose block runs the
+    memory planner's device-to-host spills in-stream; same observation
+    triple as :func:`_quickstart`."""
+    reset_global_ids()
+    config.gpu_enabled = True
+    config.gpu.device_memory = 64 * 1024
+    config.memplan = True
+    config.memplan_enforce = True
+    config.memplan_spills = True
+    session = Session(config)
+    h = session.read(np.random.default_rng(3).random((50, 50)), "X")
+    for _ in range(links):
+        h = (h * 1.001 + 0.5).relu()
+    out = session.compute(h)
+    assert session.stats.get(MEMPLAN_SPILLS_EXECUTED) > 0
+    return out, session.stats.counters(), dict(session.clock.timelines)
+
+
 def _with_empty_fault_plan(config: MemphisConfig) -> MemphisConfig:
     # enables the injector (forcing run_instrumented) without injecting
     config.faults = FaultPlan(specs=[])
@@ -148,6 +168,16 @@ class TestChainEquivalence:
         X = session.read(np.ones((16, 16)), "X")
         (((X * 2.0) + 1.0).sigmoid() * 0.5).relu().compute()
         assert len(session.cache) == 0
+
+
+class TestPlannedSpillEquivalence:
+    def test_byte_identical_under_empty_fault_plan(self):
+        """Planned spills run through both entry points at the same
+        stream positions."""
+        _assert_equivalent(
+            _spill_chain(MemphisConfig.memphis()),
+            _spill_chain(_with_empty_fault_plan(MemphisConfig.memphis())),
+        )
 
 
 class TestServerZeroOverhead:

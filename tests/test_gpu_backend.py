@@ -289,3 +289,42 @@ class TestGpuBackend:
         data = backend.to_device(value)
         back = backend.to_host(data)
         assert np.allclose(back.data, value.data)
+
+
+class TestFailedRunReleases:
+    def test_raising_run_releases_its_execution_references(self):
+        """A block whose second GPU kernel raises pops and releases its
+        own acquired-pointer list; later runs leave nothing behind."""
+        from repro import MemphisConfig, Session
+        from repro.faults.determinism import reset_global_ids
+
+        reset_global_ids()
+        cfg = MemphisConfig.memphis()
+        cfg.gpu_enabled = True
+        session = Session(cfg)
+        interp = session.interpreter
+        gpu = session.gpu
+        execute = gpu.execute
+        calls = []
+        failed_run = []
+
+        def second_kernel_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                failed_run.extend(interp._acquired_stack[-1])
+                raise GpuError("injected kernel failure")
+            return execute(*args, **kwargs)
+
+        X = session.read(np.random.default_rng(3).random((50, 50)), "X")
+        gpu.execute = second_kernel_fails
+        with pytest.raises(GpuError):
+            session.compute(((X * 1.5) + 0.5).relu())
+        gpu.execute = execute
+        assert failed_run, "the failed run should hold GPU references"
+        assert interp._acquired_stack == []
+        for scale in (2.0, 3.0, 4.0):
+            session.compute(((X * scale) + 0.5).relu())
+        assert interp._acquired_stack == []
+        for data in failed_run:
+            assert data.ptr.ref_count == 0
+            assert data.ptr.id not in gpu.memory.live

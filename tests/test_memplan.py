@@ -29,9 +29,13 @@ from repro.analysis.memplan import (
     REGION_SPARK_CACHE,
     REGION_SPARK_STORAGE,
     STICKY_REGIONS,
-    _put_enabled,
 )
-from repro.common.config import MemphisConfig, ReuseMode
+from repro.common.config import (
+    CACHING_MODES,
+    PROBING_MODES,
+    MemphisConfig,
+    ReuseMode,
+)
 from repro.common.errors import VerificationError
 from repro.core.entry import BACKEND_CP, BACKEND_GPU
 from repro.core.session import Session
@@ -142,12 +146,23 @@ class TestPlanBlock:
         assert all(c.nbytes % alignment == 0 for c in gpu)
         assert {c.reason for c in gpu} <= {"alloc", "upload"}
 
-    def test_put_enabled_mirror_stays_in_sync(self):
-        """memplan._put_enabled must mirror Interpreter._put_enabled."""
-        sess = Session(MemphisConfig())
-        for mode in ReuseMode:
-            assert _put_enabled(mode) == \
-                sess.interpreter._put_enabled(mode), mode
+    def test_reuse_mode_tables_pinned(self):
+        """The one probe/put table the interpreter, memplan and explain
+        read, pinned for every mode: NONE, TRACE_ONLY and COARSE_ONLY
+        neither probe nor cache; PROBE_ONLY probes but never caches."""
+        expected = {
+            ReuseMode.NONE: (False, False),
+            ReuseMode.TRACE_ONLY: (False, False),
+            ReuseMode.PROBE_ONLY: (True, False),
+            ReuseMode.FULL: (True, True),
+            ReuseMode.LOCAL_ONLY: (True, True),
+            ReuseMode.COARSE_ONLY: (False, False),
+            ReuseMode.OPERATOR_ONLY: (True, True),
+        }
+        assert set(expected) == set(ReuseMode)
+        for mode, (probes, caches) in expected.items():
+            assert (mode in PROBING_MODES) is probes, mode
+            assert (mode in CACHING_MODES) is caches, mode
 
     def test_footprint_table_renders(self):
         sess = _planned_session()
