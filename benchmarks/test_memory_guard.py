@@ -432,6 +432,68 @@ def test_dispatch_instrumented_byte_identical(run):
         assert current[key] == recorded[key], key
 
 
+def lineage_rerecord_problems(old: dict, new: dict) -> list[str]:
+    """Why ``new`` is not ``old`` with only span ``lineage`` ids merged.
+
+    Canonicalizing lineage keys may change which item id an
+    ``EV_INSTR`` span reports, and nothing else: every other field
+    (span opcode/hop/backend/start/duration, faults, counters, metrics,
+    output) must serialize to the same bytes, and the old -> new id map
+    must be a function, so ids only merge and never split.  Returns the
+    problems found; empty means the re-record is confined.
+    """
+    def dump(value) -> str:
+        return json.dumps(value, sort_keys=True)
+
+    problems: list[str] = []
+    if sorted(old) != sorted(new):
+        problems.append(f"runs differ: {sorted(old)} -> {sorted(new)}")
+    for run in sorted(set(old) & set(new)):
+        before, after = old[run], new[run]
+        for key in sorted((set(before) | set(after)) - {"spans"}):
+            if dump(before.get(key)) != dump(after.get(key)):
+                problems.append(f"{run}: {key} changed")
+        spans_before = before.get("spans", [])
+        spans_after = after.get("spans", [])
+        if len(spans_before) != len(spans_after):
+            problems.append(f"{run}: {len(spans_before)} spans -> "
+                            f"{len(spans_after)}")
+            continue
+        ids: dict = {}
+        for i, (span_before, span_after) in enumerate(
+                zip(spans_before, spans_after)):
+            args_before, args_after = dict(span_before[0]), \
+                dict(span_after[0])
+            id_before = args_before.pop("lineage", "<none>")
+            id_after = args_after.pop("lineage", "<none>")
+            if dump([args_before, *span_before[1:]]) \
+                    != dump([args_after, *span_after[1:]]):
+                problems.append(f"{run}: span {i} changed beyond its "
+                                f"lineage id")
+            mapped = ids.setdefault(dump(id_before), id_after)
+            if dump(mapped) != dump(id_after):
+                problems.append(f"{run}: span {i}: lineage id {id_before} "
+                                f"split into {mapped} and {id_after}")
+    return problems
+
+
+def test_lineage_rerecord_check_catches_splits_and_other_fields():
+    run = {"spans": [[{"opcode": "+", "lineage": 5}, "1.0", "2.0"],
+                     [{"opcode": "+", "lineage": 6}, "3.0", "2.0"]],
+           "counters": {"cache/hits": 1}, "output": "ab"}
+    merged = json.loads(json.dumps(run))
+    merged["spans"][1][0]["lineage"] = 5
+    assert lineage_rerecord_problems({"r": run}, {"r": merged}) == []
+    split = json.loads(json.dumps(merged))
+    assert lineage_rerecord_problems({"r": split}, {"r": run}) \
+        == ["r: span 1: lineage id 5 split into 5 and 6"]
+    moved = json.loads(json.dumps(run))
+    moved["spans"][0][1] = "1.5"
+    moved["counters"]["cache/hits"] = 2
+    assert lineage_rerecord_problems({"r": run}, {"r": moved}) \
+        == ["r: counters changed", "r: span 0 changed beyond its lineage id"]
+
+
 BASELINES = {
     "cp_eviction_order": (EVICTION_BASELINE, EVICTION_RUNS,
                           cp_eviction_order),
@@ -447,11 +509,22 @@ if __name__ == "__main__":
     #   python -m benchmarks.test_memory_guard cp_eviction_order
     #   python -m benchmarks.test_memory_guard spark_job_costs
     #   python -m benchmarks.test_memory_guard dispatch_instrumented
+    # or check that the committed dispatch_instrumented baseline differs
+    # from an older recording only in merged span lineage ids:
+    #   python -m benchmarks.test_memory_guard --lineage-only OLD.json
     import sys
 
+    if len(sys.argv) == 3 and sys.argv[1] == "--lineage-only":
+        found = lineage_rerecord_problems(
+            json.loads(pathlib.Path(sys.argv[2]).read_text()),
+            json.loads(INSTRUMENTED_BASELINE.read_text()))
+        for problem in found:
+            print(problem)
+        sys.exit(1 if found else 0)
     if len(sys.argv) != 2 or sys.argv[1] not in BASELINES:
         sys.exit(f"usage: python -m benchmarks.test_memory_guard "
-                 f"{{{'|'.join(sorted(BASELINES))}}}")
+                 f"{{{'|'.join(sorted(BASELINES))}}} | --lineage-only "
+                 f"OLD.json")
     path, runs, record = BASELINES[sys.argv[1]]
     path.write_text(json.dumps(
         {name: record(run) for name, run in sorted(runs.items())},

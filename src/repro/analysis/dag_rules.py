@@ -50,6 +50,7 @@ from repro.compiler.ir import (
     infer_shape,
 )
 from repro.core.entry import BACKEND_CP, BACKEND_GPU, BACKEND_SP
+from repro.lineage.item import attr_data, literal_data
 
 _ADDRESS_RE = re.compile(r"0x[0-9a-fA-F]{6,}")
 
@@ -363,7 +364,7 @@ class LineageDeterminismPass(AnalysisPass):
         lineage fall back to hop identity, which can never collide.
         """
         if hop.kind == KIND_LITERAL:
-            return ("lit", hop.value)
+            return ("lit", literal_data(hop.value))
         if hop.kind == KIND_DATA:
             lineage = None
             if hop.bundle is not None:
@@ -375,13 +376,7 @@ class LineageDeterminismPass(AnalysisPass):
             if lineage is None:
                 return ("data", id(hop))
             return ("data", lineage)
-        attr_items = tuple(
-            (k, hop.attrs[k] if isinstance(
-                hop.attrs[k], (int, float, bool, str)
-            ) else str(hop.attrs[k]))
-            for k in sorted(hop.attrs)
-        )
-        return (hop.opcode, attr_items,
+        return (hop.opcode, attr_data(hop.attrs),
                 tuple(key_of[h.id] for h in hop.inputs))
 
     def _collision(self, hop: Hop, other: Hop) -> Diagnostic:

@@ -9,11 +9,13 @@ function calls) is what the lineage cache handles at runtime (§2.1).
 from __future__ import annotations
 
 from repro.compiler.ir import KIND_DATA, KIND_LITERAL, KIND_OP, Hop
+from repro.lineage.item import literal_data
 
 
 def _canonical_key(hop: Hop, canon: dict[int, Hop]):
     if hop.kind == KIND_LITERAL:
-        return ("lit", hop.value)
+        # the lineage leaf's data, so ``-0.0`` and ``0.0`` stay apart
+        return ("lit", literal_data(hop.value))
     if hop.kind == KIND_DATA:
         handle = hop.handle
         return ("data", id(handle) if handle is not None else hop.id)

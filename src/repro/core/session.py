@@ -80,11 +80,7 @@ from repro.core.substrate import (
 )
 from repro.faults.injector import NULL_INJECTOR, FaultInjector
 from repro.faults.plan import current_plan
-from repro.lineage.item import (
-    LineageItem,
-    function_item,
-    literal,
-)
+from repro.lineage.item import OP_DATA, LineageItem
 from repro.memory import REGION_CP, MemoryArbiter
 from repro.lineage.recompute import hops_from_item
 from repro.lineage.serialize import deserialize, serialize
@@ -272,9 +268,12 @@ class Session:
             value = MatrixValue(np.asarray(data, dtype=np.float64))
         handle = MatrixHandle(self, literal_hop(0.0), name=name)
         handle.hop = data_hop(handle, value.shape)
+        # named leaves are canonical per substrate, so every block (and,
+        # on a shared substrate, every session) reading ``name`` keys
+        # its lineage on one object; anonymous leaves are unique anyway
         handle.lineage = (
-            LineageItem("data", (name,)) if name else
-            LineageItem("data", (f"anon_{handle.hop.id}",))
+            self.lineage_interner.dataset(name) if name else
+            LineageItem(OP_DATA, (f"anon_{handle.hop.id}",))
         )
         handle.payloads = {BACKEND_CP: value}
         handle.hop.bundle = (handle.lineage, handle.payloads)
@@ -659,6 +658,7 @@ class Session:
         return decorate
 
     def _function_key(self, fname: str, args: tuple) -> LineageItem:
+        interner = self.lineage_interner
         items = []
         for arg in args:
             if isinstance(arg, MatrixHandle):
@@ -666,8 +666,8 @@ class Session:
                     self.evaluate([arg])
                 items.append(arg.lineage)
             else:
-                items.append(literal(arg))
-        return function_item(fname, tuple(items))
+                items.append(interner.literal(arg))
+        return interner.function(fname, tuple(items))
 
     def _cache_function_outputs(self, key: LineageItem, result,
                                 t0: float) -> None:

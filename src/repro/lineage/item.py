@@ -18,6 +18,7 @@ Hashing and equality follow the paper exactly:
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Optional
 
 _ids = itertools.count(1)
@@ -33,6 +34,57 @@ OP_FUNCTION = "func"
 #: nondeterministic) so it never unifies across sessions
 #: (see ``repro.core.substrate``).
 OP_NAMESPACE = "ns"
+
+#: data item standing in for a NaN attribute value: Python hashes NaN
+#: by object identity and ``nan != nan``, which would make structurally
+#: identical lineage items unequal (breaking all reuse of e.g.
+#: ``replace(NaN, v)``).
+NAN_DATUM = "__nan__"
+#: data item marking negative zero.  ``-0.0 == 0.0`` and both hash
+#: alike, so without it ``X * -0.0`` and ``X * 0.0`` would share one
+#: lineage key and a cache hit would return the wrong sign (``1 / ...``
+#: gives ``+inf`` instead of ``-inf``).
+NEG_ZERO_DATUM = "__-0.0__"
+
+
+def literal_data(value: object) -> tuple:
+    """Data tuple of a literal leaf: ``(value,)``, tagged for ``-0.0``.
+
+    Negative zero keeps its value first (RECOMPUTE reads ``data[0]``)
+    and appends :data:`NEG_ZERO_DATUM`; every other value's data, and
+    so its hash, is just ``(value,)``.
+    """
+    if isinstance(value, float) and value == 0.0 \
+            and math.copysign(1.0, value) < 0.0:
+        return (value, NEG_ZERO_DATUM)
+    return (value,)
+
+
+def attr_data(attrs: dict) -> tuple:
+    """Flatten op attributes into a deterministic lineage data tuple.
+
+    The tuple is ``(key, value, key, value, ...)`` in key order.  NaN
+    becomes :data:`NAN_DATUM` and negative zero :data:`NEG_ZERO_DATUM`
+    (``repro.lineage.recompute.attrs_from_data`` decodes both); other
+    primitives stay as they are and anything else is stringified.
+    """
+    if not attrs:
+        return ()
+    out: list = []
+    for key in sorted(attrs):
+        out.append(key)
+        value = attrs[key]
+        if isinstance(value, float):
+            if value != value:
+                value = NAN_DATUM
+            elif value == 0.0 and math.copysign(1.0, value) < 0.0:
+                value = NEG_ZERO_DATUM
+            out.append(value)
+        elif isinstance(value, (int, bool, str)):
+            out.append(value)
+        else:
+            out.append(str(value))
+    return tuple(out)
 
 
 class LineageItem:
@@ -134,21 +186,29 @@ class LineageInterner:
     cache probe pays a full :func:`dags_equal` structural comparison
     when dict hashing collides equal keys.
 
-    Interning keys on ``(opcode, data, input identities)``: because the
-    interpreter interns bottom-up, two structurally equal op items built
-    from the same (interned or handle-bound) inputs share identical
-    input objects, so identity of inputs is equivalent to structural
-    equality of inputs.  The canonical item is returned for every
-    repeat, which makes subsequent cache probes hit the dictionary's
-    identity fast path instead of running ``dags_equal``.
+    Interning keys on ``(opcode, data, input identities)``, so it is
+    only exact when the inputs are canonical too.  The session runtime
+    therefore builds *every* item through the interner: the leaves
+    (named data leaves in ``Session.read``, the interpreter's data-leaf
+    fallback, literal leaves, the literal arguments of ``@function``
+    calls) via :meth:`literal` and :meth:`dataset`, the function items
+    via :meth:`function`, and the op items bottom-up via :meth:`intern`.
+    Structurally equal runtime keys are then one object, and cache
+    probes and puts, the substrate's purity memo and namespacing all
+    hit the dictionary's identity fast path instead of running
+    ``dags_equal``.  Anonymous reads (``anon_<hop id>``) are unique by
+    construction and stay outside the table.
 
-    Items built *outside* the interner (deserialized logs, hand-built
-    DAGs) simply miss the table and fall back to structural equality —
-    behaviour is unchanged, only slower for that item.
+    Items built *outside* the interner (deserialized logs,
+    ``LineageMap``, hand-built DAGs) simply miss the table and fall
+    back to structural equality — behaviour is unchanged, only slower
+    for that item.
 
-    One interner per session (see ``Session.lineage_interner``): the
-    table's lifetime — and its memory — follows the session, mirroring
-    the lineage cache it accelerates.
+    One interner per substrate (``Substrate.interner``, exposed as
+    ``Session.lineage_interner``): a private substrate gives each
+    session its own table, a shared one makes a key one object across
+    every attached session.  The table's lifetime — and its memory —
+    follows the substrate, mirroring the lineage cache it accelerates.
     """
 
     __slots__ = ("_table",)
@@ -169,13 +229,26 @@ class LineageInterner:
             self._table[key] = item
         return item
 
+    def literal(self, value: object) -> LineageItem:
+        """Canonical literal leaf (see :func:`literal`)."""
+        return self.intern(OP_LITERAL, literal_data(value), ())
+
+    def dataset(self, name: str) -> LineageItem:
+        """Canonical dataset leaf (see :func:`dataset`)."""
+        return self.intern(OP_DATA, (name,), ())
+
+    def function(self, fname: str, inputs: tuple[LineageItem, ...],
+                 output_index: int = 0) -> LineageItem:
+        """Canonical function item (see :func:`function_item`)."""
+        return self.intern(f"{OP_FUNCTION}:{fname}", (output_index,), inputs)
+
     def clear(self) -> None:
         self._table.clear()
 
 
 def literal(value: object) -> LineageItem:
     """Lineage leaf for a scalar/string literal."""
-    return LineageItem(OP_LITERAL, (value,))
+    return LineageItem(OP_LITERAL, literal_data(value))
 
 
 def dataset(name: str) -> LineageItem:

@@ -14,18 +14,26 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.compiler.ir import Hop, literal_hop, op_hop
-from repro.lineage.item import LineageItem
+from repro.lineage.item import NAN_DATUM, NEG_ZERO_DATUM, LineageItem
+
+#: sentinel data items of :func:`~repro.lineage.item.attr_data` and the
+#: float each one stands for.
+_SENTINELS = {NAN_DATUM: float("nan"), NEG_ZERO_DATUM: -0.0}
 
 
 def attrs_from_data(data: tuple) -> dict:
     """Rebuild an attribute dict from a flattened lineage data tuple.
 
-    Inverse of the interpreter's attribute flattening: lineage items
-    store op attributes as ``(key, value, key, value, ...)``.
+    Inverse of :func:`~repro.lineage.item.attr_data`: lineage items
+    store op attributes as ``(key, value, key, value, ...)``, with NaN
+    and negative zero as sentinel strings.
     """
     attrs: dict = {}
     for i in range(0, len(data) - 1, 2):
-        attrs[str(data[i])] = data[i + 1]
+        value = data[i + 1]
+        if isinstance(value, str):
+            value = _SENTINELS.get(value, value)
+        attrs[str(data[i])] = value
     return attrs
 
 

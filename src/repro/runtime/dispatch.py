@@ -39,7 +39,7 @@ from repro.common.simclock import HOST, SimFuture
 from repro.common.stats import CHECKPOINTS_PLACED, LINEAGE_TRACED
 from repro.compiler.ir import KIND_DATA, KIND_LITERAL, Hop
 from repro.core.entry import BACKEND_CP, BACKEND_SP
-from repro.lineage.item import LineageItem, literal
+from repro.lineage.item import LineageItem, attr_data
 from repro.obs.events import EV_INSTR, LANE_CP
 from repro.runtime.values import ScalarValue
 
@@ -62,29 +62,6 @@ class Slot:
         self.broadcast: Optional["Broadcast"] = None
         #: for fused transposes: the slot of the underlying input.
         self.fused_from: Optional["Slot"] = None
-
-
-def _attr_data(attrs: dict) -> tuple:
-    """Flatten attributes into a deterministic lineage data tuple.
-
-    NaN floats are encoded as a sentinel string: Python hashes NaN by
-    object identity and ``nan != nan``, which would make structurally
-    identical lineage items unequal (breaking all reuse of e.g.
-    ``replace(NaN, v)``).
-    """
-    if not attrs:
-        return ()
-    out: list = []
-    for key in sorted(attrs):
-        out.append(key)
-        value = attrs[key]
-        if isinstance(value, float) and value != value:
-            out.append("__nan__")
-        elif isinstance(value, (int, float, bool, str)):
-            out.append(value)
-        else:
-            out.append(str(value))
-    return tuple(out)
 
 
 # --------------------------------------------------------------- loop selection
@@ -141,7 +118,9 @@ def _dispatch(interp: "Interpreter", order: list[Hop],
     clock = interp.clock
     stats = interp.stats
     session = interp.session
-    intern = interp.interner.intern
+    interner = interp.interner
+    intern = interner.intern
+    intern_literal = interner.literal
     data_slot = interp._data_slot
     trace_overhead = config.cpu.trace_overhead_s
     probe_on = mode in PROBING_MODES
@@ -188,7 +167,7 @@ def _dispatch(interp: "Interpreter", order: list[Hop],
                 continue
         kind = hop.kind
         if kind == KIND_LITERAL:
-            slot = Slot(literal(hop.value))
+            slot = Slot(intern_literal(hop.value))
             slot.payloads[BACKEND_CP] = ScalarValue(hop.value)
         elif kind == KIND_DATA:
             slot = data_slot(hop)
@@ -209,7 +188,7 @@ def _dispatch(interp: "Interpreter", order: list[Hop],
             attrs = hop.attrs
             item = intern(
                 hop.opcode,
-                _attr_data(attrs) if attrs else (),
+                attr_data(attrs) if attrs else (),
                 tuple(s.lineage for s in in_slots),
             )
             if trace_on:

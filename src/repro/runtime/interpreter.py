@@ -66,7 +66,7 @@ from repro.core.entry import (
     BACKEND_SP,
     CacheEntry,
 )
-from repro.lineage.item import dataset
+from repro.lineage.item import attr_data
 from repro.obs.events import (
     EV_BROADCAST,
     EV_MEMPLAN_SPILL,
@@ -77,7 +77,6 @@ from repro.obs.events import (
 )
 from repro.runtime.dispatch import (
     Slot,
-    _attr_data,
     _step_lineage,
     select_loop,
 )
@@ -218,7 +217,7 @@ class Interpreter:
         pro = hop.prologue
         if pro is not None:
             prev_item = intern(
-                pro.opcode, _attr_data(pro.attrs) if pro.attrs else (),
+                pro.opcode, attr_data(pro.attrs) if pro.attrs else (),
                 tuple(env[h.id].lineage for h in pro.inputs),
             )
             values = [self._to_cp(env[h.id]) for h in hop.inputs[:2]]
@@ -307,7 +306,8 @@ class Interpreter:
             if handle is None:
                 raise PlacementError(f"data hop {hop} has no handle")
             if handle.lineage is None:
-                handle.lineage = dataset(handle.name or f"data_{hop.id}")
+                handle.lineage = self.interner.dataset(
+                    handle.name or f"data_{hop.id}")
             lineage, payloads = handle.lineage, handle.payloads
         slot = Slot(lineage)
         slot.payloads = dict(payloads)
